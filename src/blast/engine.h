@@ -63,13 +63,45 @@ class QueryContext {
   int cutoff_score_ = 0;
 };
 
+/// The fast kernel's merged protein neighborhood over a whole query batch:
+/// per packed base-24 word, the concatenation of every query's
+/// FlatNeighborhood bucket in batch order, each entry tagged
+/// `(batch index << 22) | query position`. One probe per subject position
+/// then services the entire batch. It depends only on the queries, so
+/// QuerySet builds it once per job and every rank shares it read-only,
+/// exactly like the contexts.
+///
+/// Default-constructed it is empty: the state of a nucleotide set and of a
+/// protein set too large to tag (>= 1024 queries, or a query of >= 2^22
+/// residues). The scalar kernel never reads it; the fast kernel refuses an
+/// untaggable batch with the limit's message.
+struct BatchNeighborhood {
+  static constexpr std::uint32_t kQposBits = 22;
+  static constexpr std::uint32_t kQposMask = (1u << kQposBits) - 1;
+  static constexpr std::size_t kMaxQueries = std::size_t{1} << 10;
+
+  std::vector<std::uint32_t> offsets;  ///< 24^3 + 1 bucket bounds
+  std::vector<std::uint32_t> entries;  ///< (batch index << 22) | position
+
+  BatchNeighborhood() = default;
+  /// Merges the buckets of `queries`, which must be a protein batch that
+  /// fits the tags (throws ContractViolation otherwise).
+  explicit BatchNeighborhood(std::span<const QueryContext> queries);
+
+  /// True when `queries` is a non-empty protein batch within both tag
+  /// ranges (the constructor still checks the batch is uniform).
+  static bool can_index(std::span<const QueryContext> queries);
+
+  bool empty() const { return offsets.empty(); }
+};
+
 /// Which search-kernel implementation runs the fragment scan. Both produce
 /// bit-identical HSP lists and counters; `kScalar` is the straightforward
 /// reference implementation, `kFast` the batched/flat-table/SWAR rebuild
 /// that the differential kernel tests check against it.
 enum class KernelKind { kScalar, kFast };
 
-/// Parses "scalar" / "fast" (aborts on anything else; used by CLI parsing).
+/// Parses "scalar" / "fast" (throws ContractViolation on anything else).
 KernelKind parse_kernel(std::string_view name);
 
 /// Inverse of parse_kernel, for logs and test output.
@@ -95,6 +127,18 @@ FragmentSearchResult search_fragment_fast(const QueryContext& query,
 /// and packs the fragment ONCE (FragmentIndex) and services the whole
 /// batch from the precomputed word codes — the per-fragment cost the
 /// scalar kernel pays per query. Output is bit-identical across kernels.
+///
+/// `merged` is the batch's prebuilt protein neighborhood (QuerySet builds
+/// it once per job; drivers pass `QuerySet::merged_neighborhood()`). Only
+/// the fast kernel's protein path reads it, and it must have been built
+/// from exactly `queries`. Host-side only: virtual time is charged from
+/// the returned counters, which do not depend on where the index lives.
+std::vector<FragmentSearchResult> search_fragment_batch(
+    std::span<const QueryContext> queries, const BatchNeighborhood& merged,
+    const seqdb::LoadedFragment& fragment, KernelKind kernel);
+
+/// Convenience overload for callers without a QuerySet: builds the merged
+/// neighborhood for this one call (fast protein only) and delegates.
 std::vector<FragmentSearchResult> search_fragment_batch(
     std::span<const QueryContext> queries,
     const seqdb::LoadedFragment& fragment, KernelKind kernel);

@@ -10,7 +10,13 @@
 //      (the scalar path pays that packing Q times).
 //   2. Word probes go through FlatNeighborhood — a contiguous
 //      offset-compacted bucket table — instead of WordIndex's
-//      vector-of-vectors (protein) / hash map (nucleotide).
+//      vector-of-vectors (protein) / hash map (nucleotide). For blastp the
+//      queries' tables are merged into one BatchNeighborhood, probed once
+//      per subject position for the whole batch. It depends only on the
+//      queries, so it lives in the QuerySet (built once per job, shared
+//      read-only by every rank like the contexts) and is passed in; only
+//      the span-only search_fragment_batch overload builds one per call.
+//      Where the index lives changes host cost only, never virtual time.
 //   3. Extensions run through extend_ungapped_fast (SWAR 8-residue skips)
 //      and extend_gapped_fast (reusable DP scratch + traceback arena).
 //
@@ -255,46 +261,99 @@ void scan_subject_dna(const QueryContext& query,
   cull_and_flush(st, result);
 }
 
-/// Merged neighborhood over the whole protein batch: per word, the
-/// concatenation of every query's bucket in query-id-major order (positions
-/// stay ascending within a query, exactly the per-query bucket order). One
-/// probe of this table per subject position services the entire QuerySet —
-/// the scalar path probes per (query, position).
-struct BatchNeighborhood {
-  static constexpr std::uint32_t kQposBits = 22;
-  static constexpr std::uint32_t kQposMask = (1u << kQposBits) - 1;
-  std::vector<std::uint32_t> offsets;  ///< 24^3 + 1 bucket bounds
-  std::vector<std::uint32_t> entries;  ///< (query id << 22) | query position
+constexpr std::uint32_t kProteinWords = 24u * 24u * 24u;
 
-  explicit BatchNeighborhood(std::span<const QueryContext> queries) {
-    constexpr std::uint32_t kWords = 24u * 24u * 24u;
-    offsets.assign(kWords + 1, 0);
-    std::size_t total = 0;
-    for (const QueryContext& qc : queries) {
-      const std::span<const std::uint32_t> offs = qc.flat_index().offsets();
-      for (std::uint32_t c = 0; c < kWords; ++c)
-        offsets[c + 1] += offs[c + 1] - offs[c];
-      total += qc.flat_index().total_entries();
-    }
-    for (std::uint32_t c = 0; c < kWords; ++c) offsets[c + 1] += offsets[c];
-    entries.resize(total);
-    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-      const FlatNeighborhood& flat = queries[qi].flat_index();
-      const std::span<const std::uint32_t> offs = flat.offsets();
-      const std::span<const std::uint32_t> ent = flat.entries();
-      const std::uint32_t tag = static_cast<std::uint32_t>(qi) << kQposBits;
-      for (std::uint32_t c = 0; c < kWords; ++c)
-        for (std::uint32_t k = offs[c]; k < offs[c + 1]; ++k)
-          entries[cursor[c]++] = tag | ent[k];
-    }
+/// Every batched query must share the scan's word size and sequence type.
+void check_uniform(std::span<const QueryContext> queries) {
+  if (queries.empty()) return;
+  const SearchParams& params = queries[0].params();
+  for (const QueryContext& qc : queries) {
+    PIOBLAST_CHECK_MSG(qc.params().type == params.type &&
+                           qc.params().word_size == params.word_size,
+                       "batched queries must share word size and type");
   }
-};
+}
+
+bool fits_query_tag(std::span<const QueryContext> queries) {
+  return queries.size() < BatchNeighborhood::kMaxQueries;
+}
+
+bool fits_position_tag(const QueryContext& qc) {
+  return qc.residues().size() < (1u << BatchNeighborhood::kQposBits);
+}
+
+/// The merged neighborhood tags entries with (batch index, position); a
+/// batch beyond either tag's range must take the scalar kernel.
+void check_taggable(std::span<const QueryContext> queries) {
+  PIOBLAST_CHECK_MSG(fits_query_tag(queries),
+                     "fast kernel: batch exceeds query-id tag range");
+  for (const QueryContext& qc : queries)
+    PIOBLAST_CHECK_MSG(fits_position_tag(qc),
+                       "fast kernel: query exceeds position tag range");
+}
+
+/// True when `merged` was built from exactly this batch (cheap: sizes only).
+bool built_from(const BatchNeighborhood& merged,
+                std::span<const QueryContext> queries) {
+  if (merged.offsets.size() != kProteinWords + 1) return false;
+  std::size_t total = 0;
+  for (const QueryContext& qc : queries) total += qc.flat_index().total_entries();
+  return merged.entries.size() == total && merged.offsets.back() == total;
+}
 
 }  // namespace
 
+// Per word, the concatenation of every query's bucket in query-id-major
+// order (positions stay ascending within a query, exactly the per-query
+// bucket order), so every query sees the seed sequence its own per-query
+// scan would produce.
+BatchNeighborhood::BatchNeighborhood(std::span<const QueryContext> queries) {
+  check_uniform(queries);
+  PIOBLAST_CHECK_MSG(
+      queries.empty() || queries[0].params().type == seqdb::SeqType::kProtein,
+      "merged neighborhood is protein-only");
+  check_taggable(queries);
+  offsets.assign(kProteinWords + 1, 0);
+  std::size_t total = 0;
+  for (const QueryContext& qc : queries) {
+    const std::span<const std::uint32_t> offs = qc.flat_index().offsets();
+    for (std::uint32_t c = 0; c < kProteinWords; ++c)
+      offsets[c + 1] += offs[c + 1] - offs[c];
+    total += qc.flat_index().total_entries();
+  }
+  for (std::uint32_t c = 0; c < kProteinWords; ++c) offsets[c + 1] += offsets[c];
+  entries.resize(total);
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    const FlatNeighborhood& flat = queries[qi].flat_index();
+    const std::span<const std::uint32_t> offs = flat.offsets();
+    const std::span<const std::uint32_t> ent = flat.entries();
+    const std::uint32_t tag = static_cast<std::uint32_t>(qi) << kQposBits;
+    for (std::uint32_t c = 0; c < kProteinWords; ++c)
+      for (std::uint32_t k = offs[c]; k < offs[c + 1]; ++k)
+        entries[cursor[c]++] = tag | ent[k];
+  }
+}
+
+bool BatchNeighborhood::can_index(std::span<const QueryContext> queries) {
+  return !queries.empty() &&
+         queries[0].params().type == seqdb::SeqType::kProtein &&
+         fits_query_tag(queries) &&
+         std::all_of(queries.begin(), queries.end(), fits_position_tag);
+}
+
 std::vector<FragmentSearchResult> search_fragment_batch(
     std::span<const QueryContext> queries,
+    const seqdb::LoadedFragment& fragment, KernelKind kernel) {
+  const bool merge = kernel == KernelKind::kFast && !queries.empty() &&
+                     queries[0].params().type == seqdb::SeqType::kProtein;
+  return search_fragment_batch(
+      queries, merge ? BatchNeighborhood(queries) : BatchNeighborhood{},
+      fragment, kernel);
+}
+
+std::vector<FragmentSearchResult> search_fragment_batch(
+    std::span<const QueryContext> queries, const BatchNeighborhood& merged,
     const seqdb::LoadedFragment& fragment, KernelKind kernel) {
   std::vector<FragmentSearchResult> results(queries.size());
   if (queries.empty()) return results;
@@ -308,11 +367,7 @@ std::vector<FragmentSearchResult> search_fragment_batch(
   const SearchParams& params = queries[0].params();
   const std::size_t w = static_cast<std::size_t>(params.word_size);
   const bool is_dna = params.type == seqdb::SeqType::kNucleotide;
-  for (const QueryContext& qc : queries) {
-    PIOBLAST_CHECK_MSG(qc.params().type == params.type &&
-                           qc.params().word_size == params.word_size,
-                       "batched queries must share word size and type");
-  }
+  check_uniform(queries);
 
   // One fragment scan for the whole batch.
   const FragmentIndex index(fragment, params);
@@ -348,14 +403,12 @@ std::vector<FragmentSearchResult> search_fragment_batch(
     // the diagonal automaton query by query. Bucket entries are
     // query-id-major with ascending positions, so every query sees exactly
     // the seed sequence its own per-query scan would produce.
-    PIOBLAST_CHECK_MSG(queries.size() < (1u << 10),
-                       "fast kernel: batch exceeds query-id tag range");
-    for (const QueryContext& qc : queries)
-      PIOBLAST_CHECK_MSG(qc.residues().size() < (1u << BatchNeighborhood::kQposBits),
-                         "fast kernel: query exceeds position tag range");
-    const BatchNeighborhood batch(queries);
-    const std::uint32_t* const offs = batch.offsets.data();
-    const std::uint32_t* const ent = batch.entries.data();
+    check_taggable(queries);
+    PIOBLAST_CHECK_MSG(built_from(merged, queries),
+                       "fast kernel: merged neighborhood was not built from "
+                       "this batch");
+    const std::uint32_t* const offs = merged.offsets.data();
+    const std::uint32_t* const ent = merged.entries.data();
     const bool two_hit = params.two_hit_window > 0;
 
     std::vector<QueryState> states(queries.size());

@@ -18,6 +18,8 @@ std::shared_ptr<const QuerySet> QuerySet::build(const std::string& fasta_text,
         seqdb::encode_sequence(params.type, set->queries_[q].sequence),
         params, *set->matrix_, stats);
   }
+  if (BatchNeighborhood::can_index(set->contexts_))
+    set->merged_ = BatchNeighborhood(set->contexts_);
   return set;
 }
 

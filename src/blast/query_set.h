@@ -1,11 +1,15 @@
-// Prepared query sets: parsed queries plus per-query search contexts.
+// Prepared query sets: parsed queries, per-query search contexts, and the
+// fast kernel's merged protein neighborhood.
 //
 // Building a QueryContext (word index + statistics) is identical on every
-// rank, so the drivers prepare one QuerySet per job and share it read-only
-// across all simulated processes. This is a host-side memory/CPU
-// optimization only: the virtual-time cost of query preparation is charged
-// by the drivers exactly as before, and search results are unaffected
-// (contexts are immutable during the search).
+// rank, and so is merging the contexts' neighborhoods into the one
+// BatchNeighborhood the fast blastp scan probes. The drivers therefore
+// prepare one QuerySet per job and share it read-only across all simulated
+// processes, instead of every rank rebuilding it for every fragment. This
+// is a host-side memory/CPU optimization only: the virtual-time cost of
+// query preparation is charged by the drivers exactly as before, and
+// search results are unaffected (contexts and index are immutable during
+// the search).
 #pragma once
 
 #include <memory>
@@ -27,6 +31,10 @@ class QuerySet {
 
   const std::vector<seqdb::FastaRecord>& queries() const { return queries_; }
   const std::vector<QueryContext>& contexts() const { return contexts_; }
+  /// The contexts' merged protein neighborhood, for search_fragment_batch.
+  /// Empty for nucleotide sets and for protein sets beyond the fast
+  /// kernel's tag range (those still search with the scalar kernel).
+  const BatchNeighborhood& merged_neighborhood() const { return merged_; }
   const ScoringMatrix& matrix() const { return *matrix_; }
   const GlobalDbStats& stats() const { return stats_; }
   std::uint32_t size() const { return static_cast<std::uint32_t>(queries_.size()); }
@@ -39,6 +47,7 @@ class QuerySet {
   std::shared_ptr<const ScoringMatrix> matrix_;
   GlobalDbStats stats_;
   std::vector<QueryContext> contexts_;
+  BatchNeighborhood merged_;
 };
 
 }  // namespace pioblast::blast

@@ -54,6 +54,9 @@ WordIndex::WordIndex(std::span<const std::uint8_t> query,
 
 void WordIndex::build_protein(std::span<const std::uint8_t> query,
                               const ScoringMatrix& matrix, int threshold) {
+  // A query shorter than a word has no neighborhood; probe() treats the
+  // unallocated table as all-empty, which saves a 24^3 table per such query.
+  if (query.size() < 3) return;
   dense_.assign(24u * 24u * 24u, {});
   const int n = static_cast<int>(query.size()) - 2;
   for (int pos = 0; pos < n; ++pos) {

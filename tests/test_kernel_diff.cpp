@@ -9,6 +9,8 @@
 //   * corpus diffs — realistic family databases, protein and DNA;
 //   * deterministic fuzz — randomized corpora and parameter sets, with a
 //     reproduction dump to stderr on the first mismatch;
+//   * shared index — the QuerySet's once-per-job merged neighborhood vs a
+//     per-call rebuild vs the scalar loop, plus the tag-range limits;
 //   * properties — FlatNeighborhood vs WordIndex under random scoring
 //     matrices and thresholds, FragmentIndex codes vs scalar packing,
 //     extension scores vs traceback replay;
@@ -29,6 +31,7 @@
 #include "blast/engine.h"
 #include "blast/extend.h"
 #include "blast/fragment_index.h"
+#include "blast/query_set.h"
 #include "blast/seed.h"
 #include "mpiblast/mpiblast.h"
 #include "pario/vfs.h"
@@ -402,6 +405,216 @@ TEST(KernelDiff, FuzzDnaCorpora) {
       FAIL() << "fast kernel diverged from scalar oracle at iteration " << iter;
     }
   }
+}
+
+// ---------- shared merged neighborhood (QuerySet) ---------------------------
+
+/// Formats `records` as one fragment whose first sequence has global id
+/// `first_global`.
+seqdb::LoadedFragment fragment_at(const std::vector<seqdb::FastaRecord>& records,
+                                  std::uint64_t first_global,
+                                  SeqType type = SeqType::kProtein) {
+  pario::VirtualFS fs;
+  seqdb::format_db(fs, records, "frag", type, "t");
+  return seqdb::load_volumes(fs, "frag", type, first_global);
+}
+
+std::string fasta_of(const std::vector<std::string>& seqs) {
+  std::string text;
+  for (std::size_t i = 0; i < seqs.size(); ++i)
+    text += ">q" + std::to_string(i) + "\n" + seqs[i] + "\n";
+  return text;
+}
+
+/// The ContractViolation text `fn` throws, or "" when it does not throw.
+template <typename Fn>
+std::string violation_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const util::ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Many tiny fragments (1-4 subjects each, including a fragment holding
+/// only a subject shorter than the word size) plus a query set mixing
+/// mutated database copies, fresh random queries and a sub-word query.
+struct TinyFragmentCase {
+  std::vector<seqdb::FastaRecord> db;
+  std::vector<seqdb::LoadedFragment> frags;
+  std::vector<std::string> queries;
+
+  TinyFragmentCase(SeqType type, std::uint32_t seed) {
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<std::size_t> slen(1, 120);
+    std::uniform_int_distribution<std::size_t> chunk(1, 4);
+    for (int i = 0; i < 40; ++i)
+      db.push_back({"s" + std::to_string(i), "",
+                    random_sequence(rng, type, slen(rng), 0.03)});
+    db[5].sequence = type == SeqType::kProtein ? "AR" : "ACGTA";
+    for (std::size_t first = 0; first < db.size();) {
+      // Subject 5 is shorter than the word size and gets a fragment alone.
+      const std::size_t n =
+          first == 5 ? 1 : std::min(chunk(rng), (first < 5 ? 5 : db.size()) - first);
+      frags.push_back(fragment_at({db.begin() + first, db.begin() + first + n},
+                                  first, type));
+      first += n;
+    }
+    for (std::size_t i = 0; i < 10; ++i) {
+      std::string q = db[(i * 7) % db.size()].sequence;
+      if (q.size() > 4) q[q.size() / 2] = type == SeqType::kProtein ? 'W' : 'T';
+      queries.push_back(i % 3 == 2 ? random_sequence(rng, type, slen(rng), 0.03)
+                                   : q);
+    }
+    queries.push_back(type == SeqType::kProtein ? "AR" : "ACG");  // < one word
+  }
+};
+
+SearchParams permissive(SearchParams params) {
+  params.evalue_cutoff = 1e6;
+  params.cutoff_score_min = 5;
+  return params;
+}
+
+TEST(SharedIndex, QuerySetIndexMatchesSpanOverloadAndScalar) {
+  const TinyFragmentCase c(SeqType::kProtein, 0x5EEDu);
+  const auto set = QuerySet::build(fasta_of(c.queries),
+                                   permissive(SearchParams::blastp_defaults()),
+                                   stats_of(c.db));
+  ASSERT_FALSE(set->merged_neighborhood().empty());
+  const std::span<const QueryContext> contexts = set->contexts();
+  std::size_t hsps = 0;
+  for (std::size_t f = 0; f < c.frags.size(); ++f) {
+    const auto shared = search_fragment_batch(
+        contexts, set->merged_neighborhood(), c.frags[f], KernelKind::kFast);
+    const auto per_call =
+        search_fragment_batch(contexts, c.frags[f], KernelKind::kFast);
+    const auto scalar =
+        search_fragment_batch(contexts, c.frags[f], KernelKind::kScalar);
+    ASSERT_EQ(shared.size(), contexts.size());
+    for (std::size_t q = 0; q < contexts.size(); ++q) {
+      const std::string what =
+          "fragment " + std::to_string(f) + " query " + std::to_string(q);
+      expect_results_identical(scalar[q], shared[q], (what + " shared").c_str());
+      expect_results_identical(scalar[q], per_call[q],
+                               (what + " per-call").c_str());
+      hsps += shared[q].hsps.size();
+    }
+  }
+  EXPECT_GT(hsps, 0u) << "corpus too weak to exercise the extension path";
+}
+
+TEST(SharedIndex, QuerySetIndexEqualsRebuiltIndex) {
+  const TinyFragmentCase c(SeqType::kProtein, 0x1DE7u);
+  const auto set = QuerySet::build(fasta_of(c.queries),
+                                   SearchParams::blastp_defaults(),
+                                   stats_of(c.db));
+  const BatchNeighborhood& shared = set->merged_neighborhood();
+  const BatchNeighborhood rebuilt(set->contexts());
+  ASSERT_EQ(shared.offsets.size(), 24u * 24u * 24u + 1);
+  EXPECT_FALSE(shared.entries.empty());
+  EXPECT_EQ(shared.offsets, rebuilt.offsets);
+  EXPECT_EQ(shared.entries, rebuilt.entries);
+}
+
+TEST(SharedIndex, NucleotideQuerySetHasNoIndexAndSearchesAsBefore) {
+  const TinyFragmentCase c(SeqType::kNucleotide, 0xD7Au);
+  auto params = permissive(SearchParams::blastn_defaults());
+  params.word_size = 4;  // tiny sequences still seed
+  const auto set = QuerySet::build(fasta_of(c.queries), params, stats_of(c.db));
+  EXPECT_TRUE(set->merged_neighborhood().empty());
+  const std::span<const QueryContext> contexts = set->contexts();
+  for (const auto& frag : c.frags) {
+    const auto shared = search_fragment_batch(
+        contexts, set->merged_neighborhood(), frag, KernelKind::kFast);
+    const auto per_call = search_fragment_batch(contexts, frag, KernelKind::kFast);
+    for (std::size_t q = 0; q < contexts.size(); ++q) {
+      const auto scalar = search_fragment(contexts[q], frag);
+      expect_results_identical(scalar, shared[q], "dna shared");
+      expect_results_identical(scalar, per_call[q], "dna per-call");
+    }
+  }
+}
+
+TEST(SharedIndex, TooManyQueriesBuildsUnindexedAndSearchesScalar) {
+  // 1024 queries overflow the 10-bit query-id tag. Most are sub-word (cheap
+  // to build); a few real ones make the scalar search produce hits.
+  const auto db = family_db(6'000, 211);
+  std::vector<std::string> queries(BatchNeighborhood::kMaxQueries, "AR");
+  for (std::size_t i = 0; i < 8; ++i)
+    queries[i * 127] = db[i % db.size()].sequence;
+  const auto frag = whole_db(db);
+  const auto set = QuerySet::build(fasta_of(queries),
+                                   SearchParams::blastp_defaults(), stats_of(db));
+  ASSERT_EQ(set->size(), BatchNeighborhood::kMaxQueries);
+  EXPECT_TRUE(set->merged_neighborhood().empty());
+  const std::span<const QueryContext> contexts = set->contexts();
+
+  EXPECT_NE(violation_of([&] {
+              search_fragment_batch(contexts, set->merged_neighborhood(), frag,
+                                    KernelKind::kFast);
+            }).find("fast kernel: batch exceeds query-id tag range"),
+            std::string::npos);
+  EXPECT_NE(violation_of([&] {
+              search_fragment_batch(contexts, frag, KernelKind::kFast);
+            }).find("fast kernel: batch exceeds query-id tag range"),
+            std::string::npos);
+
+  const auto scalar = search_fragment_batch(contexts, set->merged_neighborhood(),
+                                            frag, KernelKind::kScalar);
+  std::size_t hsps = 0;
+  for (std::size_t q = 0; q < contexts.size(); q += 127) {
+    expect_results_identical(search_fragment(contexts[q], frag), scalar[q],
+                             "scalar member");
+    hsps += scalar[q].hsps.size();
+  }
+  EXPECT_GT(hsps, 0u);
+}
+
+TEST(SharedIndex, OverlongQueryBuildsUnindexedAndSearchesScalar) {
+  // A query of >= 2^22 residues overflows the position tag. Its padding is
+  // all wildcard (no neighborhood), so only the tail seeds — at positions
+  // past the tag range.
+  const std::string tail = "MKVLAARNDCQEGHILKMFPSTWYVMKVLAARNDCQEGHILKMFPSTWYV";
+  const std::string query =
+      std::string(std::size_t{1} << BatchNeighborhood::kQposBits, 'X') + tail;
+  const std::vector<seqdb::FastaRecord> db = {{"s0", "", tail},
+                                              {"s1", "", "AR"}};
+  const auto frag = whole_db(db);
+  const auto set = QuerySet::build(fasta_of({query}),
+                                   SearchParams::blastp_defaults(), stats_of(db));
+  EXPECT_TRUE(set->merged_neighborhood().empty());
+  const std::span<const QueryContext> contexts = set->contexts();
+
+  EXPECT_NE(violation_of([&] {
+              search_fragment_batch(contexts, set->merged_neighborhood(), frag,
+                                    KernelKind::kFast);
+            }).find("fast kernel: query exceeds position tag range"),
+            std::string::npos);
+  EXPECT_NE(violation_of([&] {
+              search_fragment_batch(contexts, frag, KernelKind::kFast);
+            }).find("fast kernel: query exceeds position tag range"),
+            std::string::npos);
+
+  const auto scalar = search_fragment_batch(contexts, set->merged_neighborhood(),
+                                            frag, KernelKind::kScalar);
+  ASSERT_FALSE(scalar[0].hsps.empty());
+  EXPECT_GE(scalar[0].hsps[0].qstart, std::uint32_t{1} << BatchNeighborhood::kQposBits);
+}
+
+TEST(SharedIndex, MismatchedIndexIsRejected) {
+  const TinyFragmentCase c(SeqType::kProtein, 0xBADu);
+  const auto set = QuerySet::build(fasta_of(c.queries),
+                                   SearchParams::blastp_defaults(),
+                                   stats_of(c.db));
+  const std::span<const QueryContext> contexts = set->contexts();
+  EXPECT_NE(violation_of([&] {
+              search_fragment_batch(contexts.first(3),
+                                    set->merged_neighborhood(), c.frags[0],
+                                    KernelKind::kFast);
+            }).find("merged neighborhood was not built from this batch"),
+            std::string::npos);
 }
 
 // ---------- FlatNeighborhood / FragmentIndex properties ---------------------

@@ -11,18 +11,29 @@
 //   pioblast_cli --db-fasta my.fa --queries-fasta q.fa --output report.txt
 //   pioblast_cli --procs 4 --check schedules=50,preempt=2   # explore
 //   pioblast_cli --procs 4 --schedule 0,2,1,1               # replay
+//
+// Exit status: 0 on success; 1 when --driver=both outputs differ, a --check
+// exploration finds a failing schedule, or on an internal error; 2 for bad
+// user input (the message names the offending flag and value); 3 when the
+// protocol verifier or the --conformance monitor rejects the run.
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "blast/job.h"
 #include "driver/metrics.h"
 #include "driver/scheduler.h"
 #include "mpiblast/mpiblast.h"
 #include "mpicheck/explore.h"
+#include "mpicheck/schedule.h"
 #include "mpisim/trace.h"
+#include "mpisim/verify.h"
 #include "pioblast/pioblast.h"
+#include "protospec/spec.h"
 #include "seqdb/generator.h"
 #include "seqdb/partition.h"
 #include "util/args.h"
@@ -32,6 +43,54 @@
 using namespace pioblast;
 
 namespace {
+
+/// Bad user input, reported as "--flag=value: reason" with exit status 2.
+class UsageError : public std::runtime_error {
+ public:
+  UsageError(const std::string& flag, const std::string& value,
+             const std::string& reason)
+      : std::runtime_error("--" + flag + (value.empty() ? "" : "=" + value) +
+                           ": " + reason) {}
+};
+
+/// The reason part of a library error: a ContractViolation's text minus its
+/// "contract violation: (expr) at file:line — " prefix.
+std::string reason_of(const std::exception& e) {
+  const std::string what = e.what();
+  constexpr std::string_view kSep = " — ";
+  const auto sep = what.find(kSep);
+  return sep == std::string::npos ? what : what.substr(sep + kSep.size());
+}
+
+/// Runs `parse` on the value of --flag; any failure becomes a UsageError
+/// naming the flag and value.
+template <typename Parse>
+auto parse_flag(const util::ArgParser& args, const std::string& flag,
+                Parse&& parse) -> decltype(parse(std::string{})) {
+  const std::string value = args.get(flag);
+  try {
+    return parse(value);
+  } catch (const std::exception& e) {
+    throw UsageError(flag, value, reason_of(e));
+  }
+}
+
+std::int64_t int_flag(const util::ArgParser& args, const std::string& flag) {
+  return parse_flag(args, flag,
+                    [&](const std::string&) { return args.get_int(flag); });
+}
+
+/// Checks --flag's value is one of `choices`.
+void expect_choice(const util::ArgParser& args, const std::string& flag,
+                   std::initializer_list<std::string_view> choices) {
+  const std::string value = args.get(flag);
+  std::string list;
+  for (const std::string_view c : choices) {
+    if (value == c) return;
+    list += (list.empty() ? "" : " | ") + std::string(c);
+  }
+  throw UsageError(flag, value, "expected " + list);
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -56,7 +115,7 @@ mpicheck::CheckOptions parse_check(const std::string& spec) {
     if (field.empty()) continue;
     const auto eq = field.find('=');
     if (eq == std::string::npos)
-      throw util::RuntimeError("--check: bad field '" + field +
+      throw util::RuntimeError("bad field '" + field +
                                "' (want key=value)");
     const std::string key = field.substr(0, eq);
     const std::string val = field.substr(eq + 1);
@@ -68,7 +127,7 @@ mpicheck::CheckOptions parse_check(const std::string& spec) {
     else if (key == "shrink") opts.shrink = val != "off";
     else if (key == "max") opts.max_schedules = std::stoi(val);
     else
-      throw util::RuntimeError("--check: unknown key '" + key + "'");
+      throw util::RuntimeError("unknown key '" + key + "'");
   }
   return opts;
 }
@@ -104,9 +163,7 @@ void report(const char* name, const blast::DriverResult& r) {
   if (!r.conformance.empty()) std::printf("%s\n\n", r.conformance.c_str());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   util::ArgParser args("pioblast_cli",
                        "simulated parallel BLAST (pioBLAST vs mpiBLAST)");
   args.add("driver", "pioblast", "pioblast | mpiblast | both")
@@ -165,33 +222,95 @@ int main(int argc, char** argv) {
     return args.error().rfind("usage:", 0) == 0 ? 0 : 2;
   }
 
+  // --- user input: every bad flag is reported here, before any work -------
+  expect_choice(args, "driver", {"pioblast", "mpiblast", "both"});
+  expect_choice(args, "cluster", {"altix", "blade"});
+  expect_choice(args, "type", {"protein", "dna"});
   const seqdb::SeqType type = args.get("type") == "dna"
                                   ? seqdb::SeqType::kNucleotide
                                   : seqdb::SeqType::kProtein;
-  const int nprocs = static_cast<int>(args.get_int("procs"));
+  const int nprocs = static_cast<int>(int_flag(args, "procs"));
+  if (nprocs < 2)
+    throw UsageError("procs", args.get("procs"),
+                     "need at least 2 processes (1 master + workers)");
   const auto cluster = args.get("cluster") == "blade"
                            ? sim::ClusterConfig::ncsu_blade()
                            : sim::ClusterConfig::ornl_altix();
+  const bool conformance = args.get_flag("conformance");
+  if (conformance && nprocs > protospec::Env::kMaxRanks)
+    throw UsageError("procs", args.get("procs"),
+                     "--conformance supports at most " +
+                         std::to_string(protospec::Env::kMaxRanks) +
+                         " processes");
+  const auto seed = static_cast<std::uint64_t>(int_flag(args, "seed"));
+  const int hitlist = static_cast<int>(int_flag(args, "hitlist"));
+  const int nfragments_flag = static_cast<int>(int_flag(args, "fragments"));
+  const double evalue = parse_flag(
+      args, "evalue", [&](const std::string&) { return args.get_double("evalue"); });
+  const blast::KernelKind kernel = parse_flag(
+      args, "kernel", [](const std::string& v) { return blast::parse_kernel(v); });
+  const mpisim::ExecModel exec =
+      parse_flag(args, "exec-model", [](const std::string& v) {
+        return mpisim::parse_exec_model(v);
+      });
+  std::optional<driver::SchedulerKind> scheduler;
+  if (!args.get("scheduler").empty())
+    scheduler = parse_flag(args, "scheduler", [](const std::string& v) {
+      return driver::parse_scheduler(v);
+    });
+  mpisim::FaultPlan faults;
+  if (!args.get("fault").empty()) {
+    faults = parse_flag(args, "fault", [](const std::string& v) {
+      return mpisim::FaultPlan::parse(v);
+    });
+    parse_flag(args, "fault",
+               [&](const std::string&) { faults.validate(nprocs); });
+  }
+  pario::Hints hints;
+  if (!args.get("pario-hints").empty())
+    hints = parse_flag(args, "pario-hints", [](const std::string& v) {
+      return pario::Hints::parse(v);
+    });
+
+  // --check explores many schedules; --schedule replays exactly one.
+  const bool checking =
+      !args.get("check").empty() || !args.get("schedule").empty();
+  mpicheck::CheckOptions check_opts;
+  if (!args.get("check").empty() && args.get("check") != "default")
+    check_opts = parse_flag(args, "check", parse_check);
+  if (!args.get("schedule").empty()) {
+    parse_flag(args, "schedule", [](const std::string& v) {
+      (void)mpicheck::parse_schedule(v);
+    });
+    check_opts.replay_trace = args.get("schedule");
+  }
 
   // --- data ----------------------------------------------------------------
   std::vector<seqdb::FastaRecord> db;
   if (!args.get("db-fasta").empty()) {
-    db = seqdb::parse_fasta(read_file(args.get("db-fasta")));
+    db = parse_flag(args, "db-fasta", [](const std::string& path) {
+      return seqdb::parse_fasta(read_file(path));
+    });
   } else {
     seqdb::GeneratorConfig gen;
     gen.type = type;
-    gen.target_residues = static_cast<std::uint64_t>(args.get_int("db-residues"));
-    gen.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    gen.target_residues =
+        static_cast<std::uint64_t>(int_flag(args, "db-residues"));
+    gen.seed = seed;
     gen.family_fraction = 0.6;
     db = seqdb::generate_database(gen);
   }
   std::string query_fasta;
   if (!args.get("queries-fasta").empty()) {
-    query_fasta = read_file(args.get("queries-fasta"));
+    query_fasta = parse_flag(args, "queries-fasta", read_file);
+    // Reject a malformed query set here rather than inside the run.
+    parse_flag(args, "queries-fasta", [&](const std::string&) {
+      (void)seqdb::parse_fasta(query_fasta);
+    });
   } else {
     query_fasta = seqdb::write_fasta(seqdb::sample_queries(
-        db, static_cast<std::uint64_t>(args.get_int("query-bytes")),
-        static_cast<std::uint64_t>(args.get_int("seed")) + 1));
+        db, static_cast<std::uint64_t>(int_flag(args, "query-bytes")),
+        seed + 1));
   }
   std::printf("database: %zu sequences; query set: %zu bytes; cluster: %s; "
               "%d processes\n\n",
@@ -210,41 +329,18 @@ int main(int argc, char** argv) {
   job.params = type == seqdb::SeqType::kProtein
                    ? blast::SearchParams::blastp_defaults()
                    : blast::SearchParams::blastn_defaults();
-  job.params.hitlist_size = static_cast<int>(args.get_int("hitlist"));
-  job.params.evalue_cutoff = args.get_double("evalue");
-  job.nfragments = static_cast<int>(args.get_int("fragments"));
+  job.params.hitlist_size = hitlist;
+  job.params.evalue_cutoff = evalue;
+  job.nfragments = nfragments_flag;
 
   const std::string driver = args.get("driver");
   const bool verify = args.get("verify") != "off";
-  const mpisim::ExecModel exec = mpisim::parse_exec_model(args.get("exec-model"));
-  const blast::KernelKind kernel = blast::parse_kernel(args.get("kernel"));
-  mpisim::FaultPlan faults;
-  if (!args.get("fault").empty()) {
-    faults = mpisim::FaultPlan::parse(args.get("fault"));
-    faults.validate(nprocs);
+  if (!args.get("fault").empty())
     std::printf("fault plan: %s\n\n", faults.describe().c_str());
-  }
-  pario::Hints hints;
-  if (!args.get("pario-hints").empty()) {
-    try {
-      hints = pario::Hints::parse(args.get("pario-hints"));
-    } catch (const util::RuntimeError& e) {
-      std::cerr << e.what() << '\n';
-      return 2;
-    }
+  if (!args.get("pario-hints").empty())
     std::printf("pario hints: %s\n\n", hints.describe().c_str());
-  }
   mpisim::Tracer tracer;
   mpisim::Tracer* trace_ptr = args.get_flag("trace") ? &tracer : nullptr;
-
-  // --check explores many schedules; --schedule replays exactly one.
-  const bool checking =
-      !args.get("check").empty() || !args.get("schedule").empty();
-  mpicheck::CheckOptions check_opts;
-  if (!args.get("check").empty() && args.get("check") != "default")
-    check_opts = parse_check(args.get("check"));
-  if (!args.get("schedule").empty())
-    check_opts.replay_trace = args.get("schedule");
 
   std::vector<std::uint8_t> mpi_out, pio_out;
   if (driver == "mpiblast" || driver == "both") {
@@ -256,7 +352,7 @@ int main(int argc, char** argv) {
     opts.job = job;
     opts.tracer = trace_ptr;
     opts.verify = verify;
-    opts.conformance = args.get_flag("conformance");
+    opts.conformance = conformance;
     opts.job.output_path = "out.mpiblast.txt";
     opts.fragment_bases = parts.fragment_bases;
     opts.fragment_ranges = parts.ranges;
@@ -265,8 +361,7 @@ int main(int argc, char** argv) {
     opts.faults = faults;
     opts.exec = exec;
     opts.kernel = kernel;
-    if (!args.get("scheduler").empty())
-      opts.scheduler = driver::parse_scheduler(args.get("scheduler"));
+    if (scheduler) opts.scheduler = *scheduler;
     blast::DriverResult result;
     if (checking) {
       const bool ok = run_checked(
@@ -292,7 +387,7 @@ int main(int argc, char** argv) {
     opts.job = job;
     opts.tracer = trace_ptr;
     opts.verify = verify;
-    opts.conformance = args.get_flag("conformance");
+    opts.conformance = conformance;
     opts.job.output_path = "out.pioblast.txt";
     opts.early_score_broadcast = args.get_flag("early-score-broadcast");
     opts.dynamic_scheduling = args.get_flag("dynamic-scheduling");
@@ -300,8 +395,7 @@ int main(int argc, char** argv) {
     opts.faults = faults;
     opts.exec = exec;
     opts.kernel = kernel;
-    if (!args.get("scheduler").empty())
-      opts.scheduler = driver::parse_scheduler(args.get("scheduler"));
+    if (scheduler) opts.scheduler = *scheduler;
     blast::DriverResult result;
     if (checking) {
       const bool ok = run_checked(
@@ -341,4 +435,22 @@ int main(int argc, char** argv) {
                 util::format_bytes(out.size()).c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const UsageError& e) {
+    std::cerr << "pioblast_cli: " << e.what() << '\n';
+    return 2;
+  } catch (const mpisim::VerifyError& e) {
+    // Protocol verifier or --conformance divergence.
+    std::cerr << "pioblast_cli: verification failed: " << e.what() << '\n';
+    return 3;
+  } catch (const std::exception& e) {
+    std::cerr << "pioblast_cli: error: " << e.what() << '\n';
+    return 1;
+  }
 }
