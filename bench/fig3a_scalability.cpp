@@ -9,11 +9,9 @@
 // 1.86x overall speedup from 32 to 62 processes).
 //
 // Beyond the paper's 62 processes, --ranks extends the sweep to
-// multi-thousand-rank worlds (e.g. --ranks 64,128,512,1024,4096). Worlds
-// of that size need --exec-model events: the event backend multiplexes
-// every rank as a fiber on one scheduler thread, where the default
-// thread-per-rank backend would need thousands of kernel threads. One
-// machine-readable `ROW {...}` JSON line is emitted per (driver, world
+// multi-thousand-rank worlds (e.g. --ranks 64,128,512,1024,4096); every
+// rank is a fiber on one scheduler thread, so such worlds fit in one
+// process. One machine-readable `ROW {...}` JSON line is emitted per (driver, world
 // size); tools/bench_to_json.py folds them into BENCH_scalability.json.
 #include <cstdio>
 #include <iostream>
@@ -44,13 +42,12 @@ std::vector<int> parse_ranks(const std::string& spec) {
   return out;
 }
 
-void emit_row(const char* driver, int nprocs, mpisim::ExecModel exec,
-              const blast::DriverResult& r) {
+void emit_row(const char* driver, int nprocs, const blast::DriverResult& r) {
   std::printf(
       "ROW {\"bench\":\"fig3a\",\"driver\":\"%s\",\"procs\":%d,"
-      "\"exec\":\"%s\",\"search_s\":%.6f,\"other_s\":%.6f,"
+      "\"search_s\":%.6f,\"other_s\":%.6f,"
       "\"total_s\":%.6f,\"search_frac\":%.4f}\n",
-      driver, nprocs, mpisim::to_string(exec), r.phases.search,
+      driver, nprocs, r.phases.search,
       r.phases.total - r.phases.search, r.phases.total,
       r.phases.search_fraction());
 }
@@ -62,9 +59,6 @@ int main(int argc, char** argv) {
                        "Figure 3(a): node scalability, mpiBLAST vs pioBLAST");
   args.add("ranks", "4,8,16,32,62",
            "comma-separated world sizes (e.g. 64,128,512,1024,4096)")
-      .add("exec-model", "threads",
-           "rank execution backend: threads | events (required in practice "
-           "for worlds beyond a few hundred ranks)")
       .add("drivers", "both", "both | mpiblast | pioblast")
       .add("query-bytes", "0",
            "query-set FASTA bytes (0 = the default ~150 KB-analogue set; "
@@ -74,7 +68,6 @@ int main(int argc, char** argv) {
     return args.error().rfind("usage:", 0) == 0 ? 0 : 2;
   }
   const auto ranks = parse_ranks(args.get("ranks"));
-  const auto exec = mpisim::parse_exec_model(args.get("exec-model"));
   const std::string drivers = args.get("drivers");
   const bool run_mpi = drivers == "both" || drivers == "mpiblast";
   const bool run_pio = drivers == "both" || drivers == "pioblast";
@@ -90,8 +83,7 @@ int main(int argc, char** argv) {
 
   bench::print_banner("Figure 3(a): node scalability, mpiBLAST vs pioBLAST",
                       "nr-analogue database, natural partitioning, " +
-                          std::to_string(ranks.size()) + " world sizes, " +
-                          std::string(mpisim::to_string(exec)) + " backend");
+                          std::to_string(ranks.size()) + " world sizes");
 
   util::Table table({"Program-Procs", "Search (s)", "Other (s)", "Total (s)",
                      "Search %"});
@@ -112,18 +104,15 @@ int main(int argc, char** argv) {
                     nprocs, db.size(), nprocs - 1);
       } else {
         const auto r = bench::run_mpiblast_job(cluster, nprocs, db, queries,
-                                               job, nprocs - 1, exec);
+                                               job, nprocs - 1);
         add("mpi-" + std::to_string(nprocs), r);
-        emit_row("mpiblast", nprocs, exec, r);
+        emit_row("mpiblast", nprocs, r);
       }
     }
     if (run_pio) {
-      pio::PioBlastOptions opts;
-      opts.exec = exec;
-      const auto r =
-          bench::run_pioblast_job(cluster, nprocs, db, queries, job, opts);
+      const auto r = bench::run_pioblast_job(cluster, nprocs, db, queries, job);
       add("pio-" + std::to_string(nprocs), r);
-      emit_row("pioblast", nprocs, exec, r);
+      emit_row("pioblast", nprocs, r);
     }
   }
   table.print(std::cout);

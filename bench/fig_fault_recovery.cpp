@@ -70,7 +70,7 @@ BenchRun run_pio(const sim::ClusterConfig& cluster, int nprocs,
   pio::PioBlastOptions opts;
   opts.job = job;
   opts.job.nfragments = nfragments;
-  opts.dynamic_scheduling = true;  // the recoverable scheduling mode
+  opts.scheduler = driver::SchedulerKind::kGreedyDynamic;  // the recoverable scheduling mode
   opts.faults = faults;
   opts.tracer = tracer;
   BenchRun run{pio::run_pioblast(cluster, nprocs, storage, opts), {}};

@@ -1,7 +1,7 @@
 // Micro-study (wall time): cost of mpicheck's schedule exploration and of
 // the happens-before race detector. Reports schedules/second for the
-// master/worker queue under each exploration mode, and the serialized-run
-// overhead the cooperative scheduler + detector add over a plain run —
+// master/worker queue under each exploration mode, and the per-run
+// overhead the schedule chooser + detector add over a plain run —
 // the numbers that size CI's mpicheck job budget.
 #include <chrono>
 #include <cstdio>
@@ -42,14 +42,12 @@ void queue_job(mpisim::Process& p, int nranks, std::uint32_t ntasks,
 }
 
 mpicheck::Checker::Job checker_job(const sim::ClusterConfig& cluster,
-                                   int nranks, std::uint32_t ntasks,
-                                   mpisim::ExecModel exec) {
-  return [cluster, nranks, ntasks, exec](mpisim::ScheduleHook* schedule,
-                                         mpisim::RaceHook* race) {
+                                   int nranks, std::uint32_t ntasks) {
+  return [cluster, nranks, ntasks](mpisim::ScheduleHook* schedule,
+                                   mpisim::RaceHook* race) {
     mpisim::RunOptions opts;
     opts.schedule = schedule;
     opts.race = race;
-    opts.exec_model = exec;
     driver::RunMetrics metrics;
     mpisim::run(
         nranks, cluster,
@@ -87,62 +85,49 @@ int main() {
   modes[2].opts.dpor = true;
   modes[2].opts.max_schedules = 400;
 
-  util::Table table({"Mode", "Exec", "Schedules", "Pruned", "Decisions",
-                     "Wall (s)", "Sched/s"});
+  util::Table table({"Mode", "Schedules", "Pruned", "Decisions", "Wall (s)",
+                     "Sched/s"});
   for (const Mode& mode : modes) {
-    for (const auto exec :
-         {mpisim::ExecModel::kThreads, mpisim::ExecModel::kEvents}) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto res =
-          mpicheck::Checker(checker_job(cluster, 4, 8, exec), mode.opts).run();
-      const double wall = seconds_since(t0);
-      table.add_row({mode.name, mpisim::to_string(exec),
-                     std::to_string(res.schedules_explored),
-                     std::to_string(res.schedules_pruned),
-                     std::to_string(res.max_decisions), util::fixed(wall, 2),
-                     util::fixed(static_cast<double>(res.schedules_explored) /
-                                     wall,
-                                 0)});
-    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto res =
+        mpicheck::Checker(checker_job(cluster, 4, 8), mode.opts).run();
+    const double wall = seconds_since(t0);
+    table.add_row({mode.name, std::to_string(res.schedules_explored),
+                   std::to_string(res.schedules_pruned),
+                   std::to_string(res.max_decisions), util::fixed(wall, 2),
+                   util::fixed(static_cast<double>(res.schedules_explored) /
+                                   wall,
+                               0)});
   }
   table.print(std::cout);
 
   std::printf("\nper-run overhead (100 repeats, 4 ranks, 8 tasks):\n");
-  // Both execution backends (mpisim/exec.h): under "events" the ranks are
-  // fibers on one scheduler thread and the CoopScheduler degrades to a
-  // thin chooser over the native event loop, so the coop rows measure how
-  // much of the threaded scheduler's overhead was cross-thread handoff.
-  // Every "vs plain" ratio is relative to the plain threaded run.
-  util::Table over({"Harness", "Exec", "Wall (s)", "vs plain threads"});
+  // The coop rows suspend at every yield point and consult the chooser;
+  // the race row adds vector-clock bookkeeping on top. Ratios are relative
+  // to the plain run-to-block event loop.
+  util::Table over({"Harness", "Wall (s)", "vs plain"});
   constexpr int kRepeats = 100;
   double plain = 0;
-  for (const auto exec :
-       {mpisim::ExecModel::kThreads, mpisim::ExecModel::kEvents}) {
-    for (int mode = 0; mode < 3; ++mode) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kRepeats; ++i) {
-        mpicheck::CoopScheduler coop;
-        mpicheck::RaceDetector det;
-        mpisim::RunOptions opts;
-        opts.exec_model = exec;
-        if (mode >= 1) opts.schedule = &coop;
-        if (mode >= 2) opts.race = &det;
-        driver::RunMetrics metrics;
-        mpisim::run(
-            4, cluster,
-            [&](mpisim::Process& p) { queue_job(p, 4, 8, &metrics); }, opts);
-      }
-      const double wall = seconds_since(t0);
-      const bool is_baseline =
-          mode == 0 && exec == mpisim::ExecModel::kThreads;
-      if (is_baseline) plain = wall;
-      const char* name = mode == 0   ? "plain"
-                         : mode == 1 ? "coop schedule"
-                                     : "coop + race detector";
-      over.add_row({name, mpisim::to_string(exec), util::fixed(wall, 2),
-                    is_baseline ? "1.0x"
-                                : util::fixed(wall / plain, 1) + "x"});
+  for (int mode = 0; mode < 3; ++mode) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kRepeats; ++i) {
+      mpicheck::CoopScheduler coop;
+      mpicheck::RaceDetector det;
+      mpisim::RunOptions opts;
+      if (mode >= 1) opts.schedule = &coop;
+      if (mode >= 2) opts.race = &det;
+      driver::RunMetrics metrics;
+      mpisim::run(
+          4, cluster,
+          [&](mpisim::Process& p) { queue_job(p, 4, 8, &metrics); }, opts);
     }
+    const double wall = seconds_since(t0);
+    if (mode == 0) plain = wall;
+    const char* name = mode == 0   ? "plain"
+                       : mode == 1 ? "coop schedule"
+                                   : "coop + race detector";
+    over.add_row({name, util::fixed(wall, 2),
+                  mode == 0 ? "1.0x" : util::fixed(wall / plain, 1) + "x"});
   }
   over.print(std::cout);
   return 0;

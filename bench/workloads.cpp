@@ -185,7 +185,7 @@ blast::DriverResult run_mpiblast_job(const sim::ClusterConfig& cluster,
                                      const std::vector<seqdb::FastaRecord>& db,
                                      const std::string& query_fasta,
                                      const blast::JobConfig& job,
-                                     int nfragments, mpisim::ExecModel exec) {
+                                     int nfragments) {
   pario::ClusterStorage storage(cluster, nprocs);
   stage_queries(storage, job, query_fasta);
   const auto parts = seqdb::mpiformatdb(storage.shared(), db, job.db_base,
@@ -196,7 +196,6 @@ blast::DriverResult run_mpiblast_job(const sim::ClusterConfig& cluster,
   opts.fragment_bases = parts.fragment_bases;
   opts.fragment_ranges = parts.ranges;
   opts.global_index = parts.global_index;
-  opts.exec = exec;
   return mpiblast::run_mpiblast(cluster, nprocs, storage, opts);
 }
 

@@ -60,15 +60,12 @@ std::string make_query_set(const std::vector<seqdb::FastaRecord>& db,
 
 /// Runs mpiBLAST end to end on a fresh ClusterStorage: stages queries,
 /// mpiformatdb's the database into `nfragments`, runs, returns the result.
-/// `exec` selects the rank execution backend (mpisim/exec.h) — large-world
-/// scalability sweeps need the event backend.
 blast::DriverResult run_mpiblast_job(const sim::ClusterConfig& cluster,
                                      int nprocs,
                                      const std::vector<seqdb::FastaRecord>& db,
                                      const std::string& query_fasta,
-                                     const blast::JobConfig& job, int nfragments,
-                                     mpisim::ExecModel exec =
-                                         mpisim::ExecModel::kThreads);
+                                     const blast::JobConfig& job,
+                                     int nfragments);
 
 /// Runs pioBLAST end to end on a fresh ClusterStorage (plain formatdb, no
 /// physical fragments).

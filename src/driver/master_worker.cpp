@@ -61,7 +61,6 @@ blast::DriverResult MasterWorkerApp::run() {
   opts.faults = faults_;
   opts.schedule = schedule_;
   opts.race = race_;
-  opts.exec_model = exec_;
   // Seed the tag audit with the driver registry and the pario two-phase
   // exchange's internal band; any other tag on the wire is a protocol bug.
   auto registered = registered_tags();

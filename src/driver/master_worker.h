@@ -20,7 +20,6 @@
 #include "blast/query_set.h"
 #include "driver/metrics.h"
 #include "driver/scheduler.h"
-#include "mpisim/exec.h"
 #include "mpisim/fault.h"
 #include "mpisim/process.h"
 #include "mpisim/trace.h"
@@ -58,20 +57,14 @@ class MasterWorkerApp {
   void set_faults(mpisim::FaultPlan faults) { faults_ = std::move(faults); }
 
   /// Attaches mpicheck hooks (either may be null; neither is owned and
-  /// both must outlive run()): a cooperative scheduler serializing the
-  /// rank threads deterministically, and a happens-before race detector
-  /// observing message edges and annotated shared-state accesses. See
+  /// both must outlive run()): a schedule chooser deciding which rank the
+  /// event loop runs next, and a happens-before race detector observing
+  /// message edges and annotated shared-state accesses. See
   /// mpisim/hooks.h and src/mpicheck.
   void set_check(mpisim::ScheduleHook* schedule, mpisim::RaceHook* race) {
     schedule_ = schedule;
     race_ = race;
   }
-
-  /// Selects the rank execution backend (mpisim/exec.h): one OS thread
-  /// per rank (default) or stackful fibers on one scheduler thread — the
-  /// latter is what makes multi-thousand-rank worlds practical. Driver
-  /// output is identical under both.
-  void set_exec(mpisim::ExecModel exec) { exec_ = exec; }
 
  protected:
   /// Driver protocol. The default dispatches to master()/worker();
@@ -105,7 +98,6 @@ class MasterWorkerApp {
   mpisim::FaultPlan faults_;
   mpisim::ScheduleHook* schedule_ = nullptr;
   mpisim::RaceHook* race_ = nullptr;
-  mpisim::ExecModel exec_ = mpisim::ExecModel::kThreads;
   WorkerTopology topology_;
   RunMetrics metrics_;
 };

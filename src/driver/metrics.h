@@ -1,7 +1,7 @@
 // Structured run metrics: one named-counter registry per driver run.
 //
 // Replaces the per-driver trios of ad-hoc std::atomic counters. Any rank
-// thread can bump a counter by name during the run; after the run the
+// can bump a counter by name during the run; after the run the
 // snapshot flows into blast::DriverResult::metrics, is mirrored into the
 // trace stream as `metric <name>=<value>` marks, and can be emitted as one
 // machine-readable JSON line (CLI --metrics, bench METRICS lines).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "blast/engine.h"
 #include "util/error.h"
@@ -27,11 +28,15 @@ void SearchStage::search_slot(mpisim::Process& p, std::size_t slot) {
   p.compute(p.cost().fragment_setup_seconds());
   std::uint64_t cached = 0;
   // One batched call services every query (the fast kernel indexes the
-  // fragment once and probes the QuerySet's shared merged neighborhood);
-  // virtual time is still charged per query, in query order, from the
-  // per-query counters — identical to the scalar loop.
-  auto results = blast::search_fragment_batch(
-      contexts, queries_.merged_neighborhood(), frag, kernel_);
+  // fragment once and probes the QuerySet's shared merged neighborhood).
+  // It is pure host compute, so it runs on the offload pool while other
+  // ranks proceed; virtual time is charged afterwards per query, in query
+  // order, from the per-query counters — identical to the scalar loop.
+  std::vector<blast::FragmentSearchResult> results;
+  p.offload([&] {
+    results = blast::search_fragment_batch(
+        contexts, queries_.merged_neighborhood(), frag, kernel_);
+  });
   for (std::uint32_t q = 0; q < queries_.size(); ++q) {
     auto& result = results[q];
     p.compute(p.cost().search_seconds(result.counters));

@@ -45,7 +45,6 @@ class MpiBlastApp final : public driver::MasterWorkerApp {
     set_verify(opts.verify);
     set_faults(opts.faults);
     set_check(opts.schedule, opts.race);
-    set_exec(opts.exec);
   }
 
  private:
@@ -248,7 +247,7 @@ blast::DriverResult run_mpiblast(const sim::ClusterConfig& cluster, int nprocs,
                                       opts.global_index.num_seqs};
 
   // Query parsing and context construction are identical on every rank, so
-  // they are prepared once and shared read-only across the rank threads
+  // they are prepared once and shared read-only across the ranks
   // (host-side optimization; virtual-time charges are unchanged).
   const auto query_text_raw = storage.shared().read_all(opts.job.query_path);
   auto shared_queries = blast::QuerySet::build(

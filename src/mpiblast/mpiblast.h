@@ -75,13 +75,13 @@ struct MpiBlastOptions {
   /// fragments. See mpisim/fault.h and the CLI's --fault flag.
   mpisim::FaultPlan faults;
   /// mpicheck hooks (mpisim/hooks.h; either may be null, neither owned):
-  /// a deterministic cooperative scheduler and a happens-before race
+  /// a deterministic schedule chooser and a happens-before race
   /// detector. Set by the CLI's --check/--schedule modes and by tests.
   mpisim::ScheduleHook* schedule = nullptr;
   mpisim::RaceHook* race = nullptr;
-  /// Rank execution backend (mpisim/exec.h): threads (default) or the
-  /// single-threaded fiber event loop. The CLI's --exec-model flag.
-  mpisim::ExecModel exec = mpisim::ExecModel::kThreads;
+  /// Provenance label only (mpisim/exec.h): every run uses the fiber
+  /// event loop.
+  static constexpr mpisim::ExecModel exec = mpisim::ExecModel::kEvents;
   /// Search-kernel implementation (blast/engine.h). Both kernels produce
   /// bit-identical output and virtual time; the CLI's --kernel flag.
   blast::KernelKind kernel = blast::KernelKind::kFast;

@@ -1,22 +1,20 @@
-// Deterministic cooperative scheduler for mpisim.
+// Deterministic schedule chooser for mpisim.
 //
-// Installed via RunOptions::schedule, it serializes the rank threads: one
-// run token, handed from rank to rank at yield points (send, recv attempt,
-// collective entry, injected fault) and at blocking receives. The job's
-// behaviour then depends only on the Chooser's picks, so a run can be
-// reproduced exactly from its decision trace — the foundation for the
-// explorer (explore.h) and for `--schedule` replay.
+// Installed via RunOptions::schedule, it becomes the event loop's
+// decision delegate: at every yield point (send, recv attempt, collective
+// entry, injected fault) and blocking receive the loop asks it which
+// runnable rank goes next. The job's behaviour then depends only on the
+// Chooser's picks, so a run can be reproduced exactly from its decision
+// trace — the foundation for the explorer (explore.h) and for
+// `--schedule` replay.
 //
 // Decisions are recorded only at points where two or more ranks were
 // runnable; a single runnable rank is forced and recording it would bloat
 // traces without adding information.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "mpicheck/schedule.h"
@@ -46,24 +44,12 @@ class CoopScheduler final : public mpisim::ScheduleHook {
   explicit CoopScheduler(Chooser chooser = {});
 
   // ScheduleHook ------------------------------------------------------------
-  void start(int nranks, StuckHandler on_stuck) override;
-  void rank_begin(int rank) override;
-  void yield(const mpisim::YieldPoint& op) override;
-  void block(int rank) override;
-  void wake(int rank) override;
-  void finish(int rank) override;
+  void start(int nranks) override;
+  int choose(const std::vector<int>& enabled,
+             const std::vector<mpisim::YieldPoint>& ops) override;
+  void stuck() override;
 
-  // Inline (event-backend) protocol: mpisim's EventLoop serializes ranks
-  // natively and drives the scheduler through these instead — the
-  // scheduler degrades to a thin chooser, but records the same
-  // DecisionRecords, so schedules replay on either backend and the
-  // explorer is backend-agnostic.
-  void inline_start(int nranks) override;
-  int inline_choose(const std::vector<int>& enabled,
-                    const std::vector<mpisim::YieldPoint>& ops) override;
-  void inline_stuck() override;
-
-  // Run results (read after the job joined) ---------------------------------
+  // Run results (read after the job returned) -------------------------------
 
   /// The multi-choice decisions of the completed run.
   const std::vector<DecisionRecord>& records() const { return records_; }
@@ -71,8 +57,8 @@ class CoopScheduler final : public mpisim::ScheduleHook {
   /// records() reduced to a replayable Schedule.
   Schedule schedule() const;
 
-  /// True when the scheduler found no runnable rank while some were still
-  /// blocked and fired the stuck handler (verifier-off deadlock path).
+  /// True when the loop found no runnable rank while some were still
+  /// blocked and fired its stuck handler (verifier-off deadlock path).
   bool went_stuck() const { return stuck_fired_; }
 
   // Canned choosers ---------------------------------------------------------
@@ -91,37 +77,8 @@ class CoopScheduler final : public mpisim::ScheduleHook {
   static Chooser forced(Schedule forced, bool continue_after = false);
 
  private:
-  enum class State : std::uint8_t {
-    kNotStarted,
-    kRunnable,
-    kRunning,
-    kBlocked,
-    kDone,
-  };
-
-  /// Picks and announces the next current_ rank if none is running and at
-  /// least one is runnable. Records a DecisionRecord at multi-choice
-  /// points. Caller holds mu_.
-  void schedule_locked();
-
-  /// Detects the no-runnable-but-blocked wedge and fires the stuck
-  /// handler (with mu_ released — the handler pokes mailboxes, which call
-  /// back into wake()).
-  void maybe_stuck(std::unique_lock<std::mutex>& lock);
-
-  /// Parks the calling rank thread until it holds the run token.
-  void wait_for_turn(std::unique_lock<std::mutex>& lock, int rank);
-
   Chooser chooser_;
-  StuckHandler on_stuck_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  int nranks_ = 0;
-  int begun_ = 0;    ///< ranks that reached rank_begin (start gate)
-  int current_ = -1; ///< rank holding the run token, -1 = none
   bool stuck_fired_ = false;
-  std::vector<State> states_;
-  std::vector<mpisim::YieldPoint> ops_;  ///< pending op per rank
   std::vector<DecisionRecord> records_;
 };
 

@@ -15,7 +15,7 @@
 //     lock are synchronized by it even without a message edge; this is
 //     what exempts the deliberately lock-protected RunMetrics counters).
 //
-// A detected race throws RaceError from the accessing thread; the runtime
+// A detected race throws RaceError from the accessing rank; the runtime
 // treats it like any rank failure (poison, unwind, rethrow), so the
 // readable report reaches the caller as the job's error.
 #pragma once

@@ -1,96 +1,124 @@
-// Event-driven rank execution backend.
+// The rank runtime: every rank of a job is a stackful fiber (fiber.h) on
+// one scheduler thread.
 //
-// The EventLoop runs every rank of a job as a stackful fiber (fiber.h) on
-// one scheduler thread. It implements ScheduleHook, so the existing yield
-// (Process::yield_point) and block/wake (Mailbox::pop_any/push/poison/
-// seal/notify_dead) call sites — already the complete set of suspension
-// points under the cooperative threaded scheduler — become fiber
-// park/resume points with no changes to their call structure. A blocked
-// rank costs one parked fiber (a few KB of touched stack) instead of a
-// kernel thread, which is what lets one process host a 4096-rank world.
+// Ranks suspend only at the runtime's own call sites: Process::yield_point
+// (send, receive attempt, collective entry, injected crash), Mailbox's
+// blocking pop (block, woken by push/poison/seal/notify_dead), and
+// Process::offload. A blocked rank costs one parked fiber (a few KB of
+// touched stack) instead of a kernel thread, which is what lets one
+// process host a 4096-rank world. The loop decides every resume, so a run
+// is a deterministic function of its inputs.
 //
 // Two modes:
 //
 //   * Fast (no delegate): yield() returns immediately — a rank runs until
-//     it actually blocks or finishes (run-to-block) — and the ready queue
-//     is a FIFO deque. One fiber switch per block instead of one per
-//     operation. Everything is single-threaded, so there is no locking.
+//     it actually blocks, offloads, or finishes (run-to-block) — and the
+//     ready queue is a FIFO deque. offload() hands the closure to a host
+//     thread pool and parks the rank; the loop keeps running ready ranks
+//     and, only when none is ready, waits for the *oldest* in-flight
+//     offload and resumes its rank. Resume order is therefore submission
+//     order, never completion order, so multicore compute does not leak
+//     host timing into the simulation.
 //
 //   * Checked (delegate != nullptr): every yield point suspends and the
-//     loop consults the delegate ScheduleHook through its non-blocking
-//     inline_*() protocol at each multi-choice point. The loop mirrors the
-//     threaded CoopScheduler's decision state machine exactly — all ranks
-//     start runnable at kBegin, every yield is a decision point, wakes
-//     never preempt the running rank, single-choice points are forced and
-//     unrecorded — so the decision records a CoopScheduler accumulates
-//     here replay byte-for-byte on either backend.
+//     loop asks the delegate ScheduleHook at each multi-choice point. All
+//     ranks start runnable at kBegin, wakes never preempt the running
+//     rank, and single-choice points are forced and unrecorded, so the
+//     delegate's decision records replay byte-for-byte. offload() runs the
+//     closure inline, so explored and recorded schedules do not depend on
+//     whether a call site offloads.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <future>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "mpisim/exec.h"
 #include "mpisim/hooks.h"
 
 namespace pioblast::mpisim {
 
 class Fiber;
+class OffloadPool;
 
-class EventLoop final : public ScheduleHook {
+/// Per-rank fiber stack reservation (address space; pages commit lazily
+/// via MAP_NORESERVE, so a 4096-rank world reserves address space only).
+inline constexpr std::size_t kFiberStackBytes = 256 * 1024;
+
+class EventLoop {
  public:
+  /// Wakes every blocked receive with the given report; called when the
+  /// loop finds no runnable rank while some are still blocked (a wedge the
+  /// protocol verifier did not claim first, e.g. with verification off).
+  using StuckHandler = std::function<void(const std::string&)>;
+
   struct Options {
-    /// Per-rank fiber stack reservation (address space; pages commit
-    /// lazily via MAP_NORESERVE).
-    std::size_t stack_bytes = kDefaultFiberStackBytes;
-    /// Decision chooser driven through the inline_*() protocol (borrowed;
-    /// e.g. a CoopScheduler). Null selects the fast run-to-block mode.
+    /// Decision chooser (borrowed; e.g. a CoopScheduler). Null selects the
+    /// fast run-to-block mode.
     ScheduleHook* delegate = nullptr;
     /// Race detector whose thread-local context must be re-installed on
     /// every fiber resume (thread-locals do not follow fibers).
     RaceHook* race = nullptr;
   };
 
-  EventLoop(int nranks, Options opts);
-  ~EventLoop() override;
+  EventLoop(int nranks, Options opts, StuckHandler on_stuck);
+  ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Runs `body(rank)` for every rank to completion on the calling
-  /// thread. start() must have been called first. The body must not let
-  /// exceptions escape (it runs on a fiber stack with no OS frame to
-  /// unwind into).
+  /// thread. The body must not let exceptions escape (it runs on a fiber
+  /// stack with no OS frame to unwind into).
   void run(const std::function<void(int)>& body);
 
-  // ---- ScheduleHook -------------------------------------------------------
-  //
-  // start() is called by the runtime before run(); yield/block/wake are
-  // called from inside rank fibers through the World's schedule binding
-  // (wake also from the stuck handler, on the scheduler thread).
-  // rank_begin()/finish() are no-ops: being resumed *is* being scheduled,
-  // and rank completion is observed from the fiber itself.
+  // ---- called from inside rank fibers -------------------------------------
 
-  void start(int nranks, StuckHandler on_stuck) override;
-  void rank_begin(int rank) override;
-  void yield(const YieldPoint& op) override;
-  void block(int rank) override;
-  void wake(int rank) override;
-  void finish(int rank) override;
+  /// Yield point: records the pending op; in checked mode suspends until
+  /// the delegate picks this rank again.
+  void yield(const YieldPoint& op);
 
-  /// True when the loop found no runnable rank while some were still
-  /// blocked and fired the stuck handler.
-  bool went_stuck() const { return stuck_fired_; }
+  /// The rank found no matching message: suspends until wake(rank) made it
+  /// runnable and the loop resumed it. The caller re-checks its predicate.
+  void block(int rank);
+
+  /// Makes a blocked rank runnable (new message, poison, peer death).
+  /// Called by the running rank or the stuck handler; never preempts.
+  void wake(int rank);
+
+  /// Runs `fn` — pure host compute that makes no mpisim calls — on the
+  /// host pool and suspends the rank until the loop resumes it after `fn`
+  /// finished (fast mode), or runs it inline (checked mode). An exception
+  /// thrown by `fn` is rethrown here, in the rank.
+  void offload(int rank, const std::function<void()>& fn);
 
  private:
-  enum class State : std::uint8_t { kRunnable, kRunning, kBlocked, kDone };
+  enum class State : std::uint8_t {
+    kRunnable,
+    kRunning,
+    kBlocked,
+    kOffloaded,
+    kDone,
+  };
+
+  /// An offload whose rank is parked; `done` lives in the rank's
+  /// suspended offload() frame.
+  struct InFlight {
+    int rank;
+    std::future<void>* done;
+  };
 
   /// Picks the next rank in checked mode: lowest runnable, or the
-  /// delegate's inline_choose() pick at multi-choice points. -1 when no
-  /// rank is runnable.
+  /// delegate's choose() pick at multi-choice points. -1 when no rank is
+  /// runnable.
   int choose_checked();
+
+  /// Pops the FIFO ready queue (fast mode); -1 when it is empty.
+  int pop_ready();
 
   /// Resumes one rank's fiber and folds its exit state back in.
   void resume_rank(int rank);
@@ -102,12 +130,13 @@ class EventLoop final : public ScheduleHook {
   int nranks_;
   Options opts_;
   StuckHandler on_stuck_;
-  bool started_ = false;
   bool stuck_fired_ = false;
   int done_ = 0;
   std::vector<State> states_;
   std::vector<YieldPoint> ops_;  ///< pending op per rank (checked mode)
   std::deque<int> ready_;        ///< FIFO ready queue (fast mode)
+  std::deque<InFlight> in_flight_;  ///< offloads, in submission order
+  std::unique_ptr<OffloadPool> pool_;  ///< created on the first offload
   std::vector<std::unique_ptr<Fiber>> fibers_;
 };
 

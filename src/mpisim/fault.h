@@ -5,7 +5,7 @@
 // point-to-point operation), message drops (the Nth send from a rank is
 // charged and traced but never delivered), and compute slowdowns
 // (stragglers). The plan travels through RunOptions; the runtime arms the
-// World with it before any rank thread starts, so every injection is a
+// World with it before any rank runs, so every injection is a
 // pure function of the plan — same plan, same failure, every run.
 //
 // Failure detection is modeled as a perfect detector with configurable

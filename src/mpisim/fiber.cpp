@@ -6,12 +6,11 @@
 
 #include "util/error.h"
 
-#if __has_include(<ucontext.h>) && __has_include(<sys/mman.h>)
-#define PIOBLAST_HAS_FIBERS 1
+// <ucontext.h> is a hard requirement, checked when the build is
+// configured (src/mpisim/CMakeLists.txt).
 #include <sys/mman.h>
 #include <ucontext.h>
 #include <unistd.h>
-#endif
 
 // Sanitizer fiber hooks. ASan tracks a fake stack per stack; TSan tracks a
 // shadow stack per execution context. Both must be told about every stack
@@ -44,8 +43,6 @@
 #endif
 
 namespace pioblast::mpisim {
-
-#ifdef PIOBLAST_HAS_FIBERS
 
 namespace {
 thread_local Fiber* t_current_fiber = nullptr;
@@ -183,33 +180,5 @@ void Fiber::suspend() {
                                   &impl_->sched_stack_size);
 #endif
 }
-
-#else  // !PIOBLAST_HAS_FIBERS
-
-struct Fiber::Impl {};
-
-Fiber::Fiber(std::size_t, std::function<void()>) {
-  PIOBLAST_CHECK_MSG(false,
-                     "fiber: this build has no <ucontext.h>; the event "
-                     "backend is unavailable — use ExecModel::kThreads");
-}
-Fiber::~Fiber() = default;
-void Fiber::resume() {}
-void Fiber::suspend() {}
-Fiber* Fiber::current() { return nullptr; }
-void Fiber::trampoline(unsigned, unsigned) {}
-void Fiber::run() {}
-
-#endif  // PIOBLAST_HAS_FIBERS
-
-namespace detail {
-bool fibers_supported() {
-#ifdef PIOBLAST_HAS_FIBERS
-  return true;
-#else
-  return false;
-#endif
-}
-}  // namespace detail
 
 }  // namespace pioblast::mpisim

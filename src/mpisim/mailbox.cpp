@@ -5,6 +5,7 @@
 #include <tuple>
 #include <utility>
 
+#include "mpisim/event_loop.h"
 #include "mpisim/fault.h"
 #include "mpisim/hooks.h"
 #include "mpisim/verifier.h"
@@ -29,8 +30,7 @@ void Mailbox::push(Message msg) {
     queue_.push_back(std::move(msg));
     seq_.push_back(next_seq_++);
   }
-  cv_.notify_all();
-  if (schedule_ != nullptr) schedule_->wake(rank_);
+  if (loop_ != nullptr) loop_->wake(rank_);
 }
 
 std::size_t Mailbox::find_match(int src, std::span<const int> tags) const {
@@ -84,28 +84,20 @@ Message Mailbox::pop_any(int src, std::span<const int> tags) {
                                      "message can never arrive");
       }
     }
+    if (loop_ == nullptr) {
+      throw util::RuntimeError(
+          "mpisim: blocking receive on a mailbox with no event loop bound "
+          "(nothing could ever deliver the message)");
+    }
     // No match: this rank is now blocked. The verifier hooks run with the
     // mailbox lock released — its deadlock scan holds the verifier lock
     // while probing mailboxes, so calling it the other way around (mailbox
-    // lock held, then verifier lock) would invert the lock order. A
-    // message arriving in the unlocked window is safe: the wait predicate
-    // re-checks before sleeping, and the scan consults has_match() before
-    // declaring a registered rank truly stuck.
+    // lock held, then verifier lock) would invert the lock order. The rank
+    // keeps running from the match check above to block(), so no wakeup
+    // can be lost; block() returns once a push/poison/seal/death woke the
+    // rank and the loop resumed it, and the loop re-checks the predicate.
     if (verifier_ != nullptr) verifier_->on_block(rank_, src, tags);
-    if (schedule_ != nullptr) {
-      // Cooperative mode: park on the scheduler instead of the condition
-      // variable. This rank still holds the run token between the match
-      // check above and here, so no wakeup can be lost; block() returns
-      // once a push/poison/seal/death woke the rank and the scheduler
-      // picked it again, and the loop re-checks the predicate.
-      schedule_->block(rank_);
-    } else {
-      std::unique_lock lock(mu_);
-      cv_.wait(lock, [&] {
-        return poisoned_ || find_match(src, tags) != kNpos ||
-               (src != kAnySource && dead_.count(src) != 0);
-      });
-    }
+    loop_->block(rank_);
     if (verifier_ != nullptr) verifier_->on_unblock(rank_);
   }
 }
@@ -117,8 +109,7 @@ void Mailbox::seal() {
     queue_.clear();
     seq_.clear();
   }
-  cv_.notify_all();
-  if (schedule_ != nullptr) schedule_->wake(rank_);
+  if (loop_ != nullptr) loop_->wake(rank_);
 }
 
 void Mailbox::notify_dead(int rank) {
@@ -126,8 +117,7 @@ void Mailbox::notify_dead(int rank) {
     std::lock_guard lock(mu_);
     dead_.insert(rank);
   }
-  cv_.notify_all();
-  if (schedule_ != nullptr) schedule_->wake(rank_);
+  if (loop_ != nullptr) loop_->wake(rank_);
 }
 
 void Mailbox::poison() { poison(kDefaultPoisonReason, false); }
@@ -141,8 +131,7 @@ void Mailbox::poison(std::string reason, bool verify_failure) {
       poison_reason_ = std::move(reason);
     }
   }
-  cv_.notify_all();
-  if (schedule_ != nullptr) schedule_->wake(rank_);
+  if (loop_ != nullptr) loop_->wake(rank_);
 }
 
 void Mailbox::bind_verifier(ProtocolVerifier* verifier, int rank) {
@@ -150,8 +139,8 @@ void Mailbox::bind_verifier(ProtocolVerifier* verifier, int rank) {
   rank_ = rank;
 }
 
-void Mailbox::bind_schedule(ScheduleHook* schedule, int rank) {
-  schedule_ = schedule;
+void Mailbox::bind_loop(EventLoop* loop, int rank) {
+  loop_ = loop;
   rank_ = rank;  // also set here: bind_verifier is skipped when verify is off
 }
 

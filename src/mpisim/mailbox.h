@@ -1,6 +1,7 @@
-// Per-rank thread-safe mailbox with (source, tag) matching.
+// Per-rank mailbox with (source, tag) matching.
 //
-// Receives block the host thread until a matching message exists, which is
+// A receive with no matching message parks the owning rank's fiber on the
+// event loop until a push, poison, seal, or peer death wakes it, which is
 // how the simulated ranks synchronize for real; virtual-time ordering is
 // layered on top by Process (receiver clocks max-merge with arrivals).
 //
@@ -9,7 +10,6 @@
 // stream the verifier's deadlock detection runs on.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -23,8 +23,8 @@
 
 namespace pioblast::mpisim {
 
+class EventLoop;
 class ProtocolVerifier;
-class ScheduleHook;
 
 class Mailbox {
  public:
@@ -32,10 +32,13 @@ class Mailbox {
   void push(Message msg);
 
   /// Blocks until a message matching (src, tag) is available and removes it.
-  /// `src == kAnySource` matches any sender; among the currently pending
-  /// matches the one with the smallest virtual arrival time is chosen
-  /// (ties broken by sender rank), approximating earliest-message-first
-  /// scheduling for dynamic work distribution.
+  /// `src == kAnySource` matches any sender; among the matches pending when
+  /// the loop resumes the receiver, the one with the smallest virtual
+  /// arrival time is chosen (ties broken by sender rank). That is not the
+  /// globally earliest message: a sender the loop has not yet run may
+  /// still post an earlier one (DESIGN.md, Known divergences). Blocking
+  /// needs a bound event loop; without one a pop that finds no match
+  /// throws util::RuntimeError instead of waiting forever.
   Message pop(int src, int tag);
 
   /// Blocks until a message matching `src` and any tag in `tags` is
@@ -73,8 +76,8 @@ class Mailbox {
   std::vector<PendingInfo> pending_info() const;
 
   /// Marks the mailbox as poisoned: current and future blocking pops with
-  /// no matching message throw RuntimeError. Used to unwind all rank
-  /// threads when one rank fails.
+  /// no matching message throw RuntimeError. Used to unwind every rank
+  /// when one rank fails.
   void poison();
 
   /// Poison with an explanatory reason; when `verify_failure` is set the
@@ -83,14 +86,13 @@ class Mailbox {
   void poison(std::string reason, bool verify_failure = false);
 
   /// Binds the protocol verifier (not owned) and this mailbox's rank.
-  /// Must happen before any rank thread starts popping.
+  /// Must happen before any rank starts popping.
   void bind_verifier(ProtocolVerifier* verifier, int rank);
 
-  /// Binds the cooperative scheduler (not owned): blocking pops park on
-  /// the scheduler instead of the condition variable, and every event that
-  /// could unblock the owner (push, poison, seal, peer death) wakes it
-  /// through the hook. Must happen before any rank thread starts.
-  void bind_schedule(ScheduleHook* schedule, int rank);
+  /// Binds the event loop (not owned): blocking pops park the owner's
+  /// fiber on it, and every event that could unblock the owner (push,
+  /// poison, seal, peer death) wakes it. Must happen before any rank runs.
+  void bind_loop(EventLoop* loop, int rank);
 
   // ---- fault support ------------------------------------------------------
 
@@ -112,7 +114,6 @@ class Mailbox {
   Message take_at(std::size_t idx);
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<Message> queue_;
   std::deque<std::uint64_t> seq_;  ///< arrival ordinal of queue_[i]
   std::uint64_t next_seq_ = 0;
@@ -122,7 +123,7 @@ class Mailbox {
   bool verify_poison_ = false;
   std::string poison_reason_;
   ProtocolVerifier* verifier_ = nullptr;
-  ScheduleHook* schedule_ = nullptr;
+  EventLoop* loop_ = nullptr;
   int rank_ = -1;
 };
 

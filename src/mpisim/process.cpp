@@ -2,12 +2,16 @@
 
 #include <algorithm>
 
+#include "mpisim/event_loop.h"
 #include "mpisim/verifier.h"
 
 namespace pioblast::mpisim {
 
 Process::Process(int rank, World& world) : rank_(rank), world_(world) {
   PIOBLAST_CHECK(rank >= 0 && rank < world.size());
+  PIOBLAST_CHECK_MSG(world.loop() != nullptr,
+                     "mpisim: a Process runs only on a World bound to an "
+                     "event loop (see mpisim::run)");
   if (const RankFault* f = world.faults().find(rank)) {
     crash_at_ = f->crash_at;
     slow_ = f->slow;
@@ -17,8 +21,11 @@ Process::Process(int rank, World& world) : rank_(rank), world_(world) {
 
 void Process::yield_point(YieldPoint::Kind kind, int peer, int tag,
                           const char* detail) {
-  if (ScheduleHook* s = world_.schedule())
-    s->yield(YieldPoint{rank_, kind, peer, tag, detail});
+  world_.loop()->yield(YieldPoint{rank_, kind, peer, tag, detail});
+}
+
+void Process::offload(const std::function<void()>& fn) {
+  world_.loop()->offload(rank_, fn);
 }
 
 void Process::maybe_crash() {

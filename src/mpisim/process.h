@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -63,6 +64,17 @@ class Process {
 
   /// Jumps the clock forward to `t` (never backwards).
   void sync_to(sim::Time t);
+
+  // ---- host compute -------------------------------------------------------
+
+  /// Runs `fn` — pure host compute that makes no mpisim calls and charges
+  /// no virtual time — on the event loop's host thread pool while other
+  /// ranks keep running, and returns once it finished; an exception `fn`
+  /// throws is rethrown here. The loop resumes offloaded ranks in
+  /// submission order, so the run never depends on which closure finishes
+  /// first. Under a schedule hook (mpicheck) `fn` simply runs inline.
+  /// Charge the virtual cost of the work with compute() afterwards.
+  void offload(const std::function<void()>& fn);
 
   // ---- phases -----------------------------------------------------------
 
@@ -209,9 +221,8 @@ class Process {
   /// order check. Called on entry by every collective, on every rank.
   void enter_collective(const char* op, int root);
 
-  /// Cooperative-scheduler yield point (no-op when no scheduler is
-  /// installed): reports the pending operation and blocks until this rank
-  /// is scheduled to run it.
+  /// Event-loop yield point: reports the pending operation; under a
+  /// schedule hook, suspends until this rank is picked to run it.
   void yield_point(YieldPoint::Kind kind, int peer, int tag,
                    const char* detail = nullptr);
 };

@@ -7,13 +7,13 @@
 // poisoned (all blocked receives unwind) and the first exception is
 // rethrown to the caller.
 //
-// Ranks execute under one of two backends (RunOptions::exec_model): one OS
-// thread per rank, or stackful fibers multiplexed on one scheduler thread
-// (see exec.h and event_loop.h). Both produce identical driver output; the
-// event backend is what makes multi-thousand-rank worlds practical.
+// Every rank is a stackful fiber on the calling thread's event loop (see
+// event_loop.h), so the same arguments give the same run: identical
+// output, trace, and virtual clocks. Multicore wall time comes from
+// Process::offload, which runs pure host compute on a thread pool without
+// letting host timing reach the simulation.
 #pragma once
 
-#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -38,20 +38,16 @@ struct RunOptions {
   /// Fault injections (crashes, stragglers, message drops); empty and
   /// inert by default. See fault.h.
   FaultPlan faults{};
-  /// Cooperative scheduler (not owned; must outlive the run). When set,
-  /// exactly one rank runs at a time and every send/recv/collective/fault
-  /// is a yield point — the foundation of mpicheck's schedule exploration.
+  /// Schedule chooser (not owned; must outlive the run). When set, every
+  /// send/recv/collective/fault is a decision point where the hook picks
+  /// the next rank, and offloaded compute runs inline — the foundation of
+  /// mpicheck's schedule exploration.
   ScheduleHook* schedule = nullptr;
   /// Happens-before race detector (not owned; must outlive the run).
   RaceHook* race = nullptr;
-  /// Rank execution backend. kThreads spawns one OS thread per rank;
-  /// kEvents multiplexes every rank as a stackful fiber on the calling
-  /// thread (required in practice beyond a few hundred ranks). Under
-  /// kEvents a ScheduleHook in `schedule` is driven through its
-  /// inline_*() protocol as a decision chooser over the native loop.
-  ExecModel exec_model = ExecModel::kThreads;
-  /// Per-rank fiber stack reservation under kEvents (lazily committed).
-  std::size_t fiber_stack_bytes = kDefaultFiberStackBytes;
+  /// Provenance label only (exec.h): there is one execution model and
+  /// nothing reads this field.
+  ExecModel exec_model = ExecModel::kEvents;
 };
 
 /// Per-rank results collected after the rank function returns.

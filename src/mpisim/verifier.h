@@ -54,7 +54,7 @@ class ProtocolVerifier {
   ProtocolVerifier& operator=(const ProtocolVerifier&) = delete;
 
   /// Binds the job's mailboxes (one per rank, not owned) and sets the
-  /// live-rank count. Called by World before rank threads start.
+  /// live-rank count. Called by World before any rank runs.
   void attach(const std::vector<Mailbox*>& mailboxes);
 
   // ---- lifecycle (called by the runtime) ---------------------------------

@@ -3,10 +3,9 @@
 // A World owns one mailbox per rank plus the cluster description and (when
 // verification is on) the ProtocolVerifier every mailbox and Process
 // reports into. It is created by the runtime (see runtime.h) and shared by
-// every rank thread.
+// every rank.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,13 +21,14 @@
 
 namespace pioblast::mpisim {
 
+class EventLoop;
+
 class World {
  public:
   World(int size, sim::ClusterConfig cluster)
       : size_(size),
         cluster_(std::move(cluster)),
-        dead_(std::make_unique<std::atomic<bool>[]>(
-            static_cast<std::size_t>(size))) {
+        dead_(static_cast<std::size_t>(size), false) {
     PIOBLAST_CHECK(size >= 1);
     mailboxes_.reserve(static_cast<std::size_t>(size));
     for (int i = 0; i < size; ++i) mailboxes_.push_back(std::make_unique<Mailbox>());
@@ -46,16 +46,16 @@ class World {
   }
 
   /// Signals a fatal error: every blocked receive throws, unwinding all
-  /// rank threads so the runtime can report the original exception. The
+  /// ranks so the runtime can report the original exception. The
   /// verifier (if any) is disabled first so the unwind cannot trigger
   /// cascading protocol reports.
   void abort() {
-    aborted_.store(true, std::memory_order_release);
+    aborted_ = true;
     if (verifier_) verifier_->on_abort();
     for (auto& mb : mailboxes_) mb->poison();
   }
 
-  bool aborted() const { return aborted_.load(std::memory_order_acquire); }
+  bool aborted() const { return aborted_; }
 
   /// Attaches an event tracer (not owned; must outlive the run). Null
   /// disables tracing.
@@ -63,7 +63,7 @@ class World {
   Tracer* tracer() const { return tracer_; }
 
   /// Installs the protocol verifier (owned) and binds every mailbox to
-  /// it. Must be called before rank threads start.
+  /// it. Must be called before any rank runs.
   void install_verifier(std::unique_ptr<ProtocolVerifier> verifier) {
     verifier_ = std::move(verifier);
     std::vector<Mailbox*> boxes;
@@ -77,15 +77,15 @@ class World {
   /// The installed verifier, or null when verification is off.
   ProtocolVerifier* verifier() const { return verifier_.get(); }
 
-  /// Installs the cooperative scheduler (not owned; must outlive the run)
-  /// and binds every mailbox to it. Must be called before rank threads
-  /// start. Null leaves the job free-running.
-  void set_schedule(ScheduleHook* schedule) {
-    schedule_ = schedule;
+  /// Binds the event loop the ranks run on (not owned; must outlive the
+  /// run) to the World and every mailbox. Must be called before any rank
+  /// runs.
+  void set_loop(EventLoop* loop) {
+    loop_ = loop;
     for (int r = 0; r < size_; ++r)
-      mailboxes_[static_cast<std::size_t>(r)]->bind_schedule(schedule, r);
+      mailboxes_[static_cast<std::size_t>(r)]->bind_loop(loop, r);
   }
-  ScheduleHook* schedule() const { return schedule_; }
+  EventLoop* loop() const { return loop_; }
 
   /// Installs the race detector (not owned; must outlive the run). Null
   /// disables happens-before tracking.
@@ -95,7 +95,7 @@ class World {
   // ---- faults -------------------------------------------------------------
 
   /// Arms the fault plan (validated against the job size). Must be called
-  /// before rank threads start; Process reads its injections from here.
+  /// before any rank runs; Process reads its injections from here.
   void set_fault_plan(FaultPlan plan) {
     plan.validate(size_);
     faults_ = std::move(plan);
@@ -108,7 +108,7 @@ class World {
   bool fault_tolerant() const { return faults_.active(); }
 
   bool is_dead(int rank) const {
-    return dead_[static_cast<std::size_t>(rank)].load(std::memory_order_acquire);
+    return dead_[static_cast<std::size_t>(rank)];
   }
 
   int dead_count() const {
@@ -122,13 +122,11 @@ class World {
   /// failure-detector notice (tag kTagFaultNotice, arrival = `when` +
   /// detection delay) to rank 0, wakes every receiver blocked on the dead
   /// rank, and tells the verifier the rank is retired — not deadlocked.
-  /// Called by the runtime from the crashing rank's own thread; safe to
+  /// Called by the runtime from the crashing rank's own fiber; safe to
   /// call at most once per rank (later calls are no-ops).
   void crash_rank(int rank, sim::Time when) {
-    bool expected = false;
-    if (!dead_[static_cast<std::size_t>(rank)].compare_exchange_strong(
-            expected, true, std::memory_order_acq_rel))
-      return;
+    if (dead_[static_cast<std::size_t>(rank)]) return;
+    dead_[static_cast<std::size_t>(rank)] = true;
     mailbox(rank).seal();
     // The notice must be queued before the verifier learns of the crash:
     // its deadlock scan then sees the master's any-source wait as
@@ -156,13 +154,13 @@ class World {
   int size_;
   sim::ClusterConfig cluster_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::atomic<bool> aborted_{false};
+  bool aborted_ = false;
   Tracer* tracer_ = nullptr;
-  ScheduleHook* schedule_ = nullptr;
+  EventLoop* loop_ = nullptr;
   RaceHook* race_ = nullptr;
   std::unique_ptr<ProtocolVerifier> verifier_;
   FaultPlan faults_;
-  std::unique_ptr<std::atomic<bool>[]> dead_;
+  std::vector<bool> dead_;
 };
 
 }  // namespace pioblast::mpisim

@@ -46,7 +46,6 @@ class PioBlastApp final : public driver::MasterWorkerApp {
     set_verify(opts.verify);
     set_faults(opts.faults);
     set_check(opts.schedule, opts.race);
-    set_exec(opts.exec);
   }
 
  private:
@@ -259,23 +258,31 @@ void PioBlastApp::output_stage(mpisim::Process& p, driver::SearchStage& stage,
     // Workers format this batch's cached candidates into memory buffers
     // — the "modified NCBI BLAST output routine that redirects formatted
     // result data from file output to memory buffers" (§3.2). This is
-    // the bulk of output preparation and it runs in parallel.
+    // the bulk of output preparation and it runs in parallel: the text is
+    // built on the offload pool, then charged hit by hit in the same order
+    // as formatting inline would.
     if (!p.is_root()) {
       const bool tabular =
           opts_.job.output_format == blast::OutputFormat::kTabular;
-      for (std::uint32_t q = batch_start; q < batch_end; ++q) {
-        for (driver::CachedHit& hit : stage.hits(q)) {
-          const seqdb::LoadedFragment& frag = stage.fragment(hit.frag_slot);
-          hit.text =
-              tabular
-                  ? blast::format_tabular_line(hit.hsp, query_list[q].id,
-                                               frag.defline(hit.local_id))
-                  : blast::format_alignment(
-                        hit.hsp, type, contexts[q].residues(),
-                        frag.sequence(hit.local_id), frag.defline(hit.local_id),
-                        frag.sequence(hit.local_id).size(), qset.matrix());
-          p.compute(p.cost().format_seconds(hit.text.size()));
+      p.offload([&] {
+        for (std::uint32_t q = batch_start; q < batch_end; ++q) {
+          for (driver::CachedHit& hit : stage.hits(q)) {
+            const seqdb::LoadedFragment& frag = stage.fragment(hit.frag_slot);
+            hit.text =
+                tabular
+                    ? blast::format_tabular_line(hit.hsp, query_list[q].id,
+                                                 frag.defline(hit.local_id))
+                    : blast::format_alignment(
+                          hit.hsp, type, contexts[q].residues(),
+                          frag.sequence(hit.local_id),
+                          frag.defline(hit.local_id),
+                          frag.sequence(hit.local_id).size(), qset.matrix());
+          }
         }
+      });
+      for (std::uint32_t q = batch_start; q < batch_end; ++q) {
+        for (const driver::CachedHit& hit : stage.hits(q))
+          p.compute(p.cost().format_seconds(hit.text.size()));
       }
     }
 
@@ -436,8 +443,7 @@ blast::DriverResult run_pioblast(const sim::ClusterConfig& cluster, int nprocs,
   const seqdb::SeqType type = opts.job.params.type;
   const seqdb::VolumeNames names = seqdb::volume_names(opts.job.db_base, type);
 
-  driver::SchedulerKind kind = opts.scheduler;
-  if (opts.dynamic_scheduling) kind = driver::SchedulerKind::kGreedyDynamic;
+  const driver::SchedulerKind kind = opts.scheduler;
   PIOBLAST_CHECK_MSG(
       !(kind == driver::SchedulerKind::kGreedyDynamic && opts.collective_input),
       "dynamic scheduling is incompatible with collective input (assignment "

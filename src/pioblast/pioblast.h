@@ -71,13 +71,11 @@ struct PioBlastOptions {
   /// input, whose round structure must be known before the run. The
   /// greedy policy hands out file ranges at run time as workers finish —
   /// "the file ranges can be decided at run time and differentiated
-  /// between different workers" (§5).
-  driver::SchedulerKind scheduler = driver::SchedulerKind::kStaticRoundRobin;
-  /// Legacy alias for `scheduler = kGreedyDynamic` (§5 dynamic load
-  /// balancing). Use with job.nfragments > nworkers for finer task
-  /// granularity. Incompatible with collective_input (assignment order is
+  /// between different workers" (§5 dynamic load balancing); use it with
+  /// job.nfragments > nworkers for finer task granularity. The greedy
+  /// policy is incompatible with collective_input (assignment order is
   /// data-dependent).
-  bool dynamic_scheduling = false;
+  driver::SchedulerKind scheduler = driver::SchedulerKind::kStaticRoundRobin;
   /// §5 memory adaptivity: merge and flush queries in batches of this size
   /// (one collective write per batch), bounding the cached-output memory.
   /// 0 = a single flush at the end (the default, maximum aggregation).
@@ -94,13 +92,13 @@ struct PioBlastOptions {
   /// mpisim/fault.h and the CLI's --fault flag.
   mpisim::FaultPlan faults;
   /// mpicheck hooks (mpisim/hooks.h; either may be null, neither owned):
-  /// a deterministic cooperative scheduler and a happens-before race
+  /// a deterministic schedule chooser and a happens-before race
   /// detector. Set by the CLI's --check/--schedule modes and by tests.
   mpisim::ScheduleHook* schedule = nullptr;
   mpisim::RaceHook* race = nullptr;
-  /// Rank execution backend (mpisim/exec.h): threads (default) or the
-  /// single-threaded fiber event loop. The CLI's --exec-model flag.
-  mpisim::ExecModel exec = mpisim::ExecModel::kThreads;
+  /// Provenance label only (mpisim/exec.h): every run uses the fiber
+  /// event loop.
+  static constexpr mpisim::ExecModel exec = mpisim::ExecModel::kEvents;
   /// Search-kernel implementation (blast/engine.h). Both kernels produce
   /// bit-identical output and virtual time; the CLI's --kernel flag.
   blast::KernelKind kernel = blast::KernelKind::kFast;

@@ -1,22 +1,30 @@
-// Event-backend tests (ctest label: events).
+// Event-loop tests (ctest label: events).
 //
-// The contract under test: ExecModel::kEvents (stackful fibers on one
-// scheduler thread, mpisim/event_loop.h) is observationally identical to
-// the thread-per-rank backend. That means byte-identical virtual clocks,
-// message counters, and driver output files; the protocol verifier, fault
-// injection, and the stuck handler behaving the same; and a CoopScheduler
-// driven through the inline chooser protocol producing the very same
-// decision records — so mpicheck schedules record on one backend and
-// replay on the other, and the explorer's statistics are backend-blind.
+// The contract under test: the fiber event loop (mpisim/event_loop.h) is
+// deterministic. Running the same job twice gives bit-identical virtual
+// clocks, message counters, traces, and driver output files; the protocol
+// verifier, fault injection, and the stuck handler behave the same every
+// time; and a CoopScheduler chooser produces the same decision records on
+// every run, so mpicheck schedules replay byte-for-byte.
+//
+// Process::offload is held to the same contract: closures run on a host
+// thread pool with deliberately skewed durations must leave traces and
+// clocks identical to an inline run, exceptions must reach the caller of
+// mpisim::run, and under a chooser the closure runs inline.
 //
 // Also here: correctness of the binomial-tree collectives (barrier, bcast,
-// allreduce_max) at non-power-of-two world sizes, on both backends.
+// allreduce_max) at non-power-of-two world sizes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blast/job.h"
@@ -24,8 +32,6 @@
 #include "driver/work_queue.h"
 #include "mpicheck/coop.h"
 #include "mpicheck/explore.h"
-#include "mpisim/event_loop.h"
-#include "mpisim/exec.h"
 #include "mpisim/fault.h"
 #include "mpisim/runtime.h"
 #include "pario/env.h"
@@ -39,35 +45,10 @@ namespace {
 
 sim::ClusterConfig altix() { return sim::ClusterConfig::ornl_altix(); }
 
-constexpr auto kThreads = mpisim::ExecModel::kThreads;
-constexpr auto kEvents = mpisim::ExecModel::kEvents;
-
-#define REQUIRE_EVENTS()                                       \
-  if (!mpisim::events_supported())                             \
-  GTEST_SKIP() << "stackful fibers unavailable on this platform"
-
-// ---------- ExecModel plumbing ---------------------------------------------
-
-TEST(ExecModel, ParseAndFormatRoundTrip) {
-  EXPECT_EQ(mpisim::parse_exec_model("threads"), kThreads);
-  EXPECT_EQ(mpisim::parse_exec_model("events"), kEvents);
-  EXPECT_STREQ(mpisim::to_string(kThreads), "threads");
-  EXPECT_STREQ(mpisim::to_string(kEvents), "events");
-  EXPECT_THROW(mpisim::parse_exec_model("fibers"), util::RuntimeError);
-  EXPECT_THROW(mpisim::parse_exec_model(""), util::RuntimeError);
-}
-
-// ---------- cross-backend equivalence --------------------------------------
+// ---------- run-twice determinism ------------------------------------------
 
 /// A mixed workload touching every suspension path: point-to-point rings,
 /// fan-in at the root, all four collectives, and per-rank compute skew.
-/// Deliberately free of any-source receives: with kAnySource the match
-/// order — and therefore the receiver's virtual clock — depends on
-/// real-time message-arrival order, which no backend guarantees. Exact
-/// cross-backend clock equality is only promised for jobs whose virtual
-/// time is schedule-independent (driver *output* is byte-identical either
-/// way; the any-source decision stream is pinned down by the
-/// CoopScheduler parity tests below).
 void mixed_job(mpisim::Process& p) {
   const int n = p.size();
   p.compute(1e-4 * (p.rank() + 1));
@@ -89,42 +70,45 @@ void mixed_job(mpisim::Process& p) {
   p.allreduce_max(static_cast<sim::Time>(p.rank()));
 }
 
-mpisim::RunReport run_mixed(int nranks, mpisim::ExecModel exec) {
-  mpisim::RunOptions opts;
-  opts.exec_model = exec;
-  return mpisim::run(nranks, altix(), mixed_job, opts);
+mpisim::RunReport run_mixed(int nranks) {
+  return mpisim::run(nranks, altix(), mixed_job, mpisim::RunOptions{});
 }
 
-TEST(EventBackend, ClocksAndCountersMatchThreadsExactly) {
-  REQUIRE_EVENTS();
-  // Non-power-of-two and power-of-two worlds: the binomial trees take
-  // different shapes, the equivalence must hold for both.
-  for (int nranks : {2, 3, 5, 7, 8, 13}) {
-    const auto threads = run_mixed(nranks, kThreads);
-    const auto events = run_mixed(nranks, kEvents);
-    ASSERT_EQ(events.ranks.size(), threads.ranks.size()) << nranks;
-    for (int r = 0; r < nranks; ++r) {
-      const auto& t = threads.ranks[static_cast<std::size_t>(r)];
-      const auto& e = events.ranks[static_cast<std::size_t>(r)];
-      // Exact, not NEAR: both backends must execute the identical event
-      // sequence, so the floating-point clocks agree bit for bit.
-      EXPECT_EQ(e.final_clock, t.final_clock) << nranks << " rank " << r;
-      EXPECT_EQ(e.bytes_sent, t.bytes_sent) << nranks << " rank " << r;
-      EXPECT_EQ(e.messages_sent, t.messages_sent) << nranks << " rank " << r;
-    }
-    EXPECT_EQ(events.makespan(), threads.makespan()) << nranks;
+void expect_same_ranks(const mpisim::RunReport& a, const mpisim::RunReport& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.ranks.size(), b.ranks.size()) << what;
+  for (std::size_t r = 0; r < a.ranks.size(); ++r) {
+    // Exact, not NEAR: both runs must execute the identical event
+    // sequence, so the floating-point clocks agree bit for bit.
+    EXPECT_EQ(a.ranks[r].final_clock, b.ranks[r].final_clock)
+        << what << " rank " << r;
+    EXPECT_EQ(a.ranks[r].bytes_sent, b.ranks[r].bytes_sent)
+        << what << " rank " << r;
+    EXPECT_EQ(a.ranks[r].messages_sent, b.ranks[r].messages_sent)
+        << what << " rank " << r;
+    EXPECT_EQ(a.ranks[r].crashed, b.ranks[r].crashed) << what << " rank " << r;
   }
 }
 
-TEST(EventBackend, PioBlastOutputBytesMatchThreads) {
-  REQUIRE_EVENTS();
+TEST(EventBackend, ClocksAndCountersRepeatExactly) {
+  // Non-power-of-two and power-of-two worlds: the binomial trees take
+  // different shapes, the property must hold for both.
+  for (int nranks : {2, 3, 5, 7, 8, 13}) {
+    const auto first = run_mixed(nranks);
+    const auto second = run_mixed(nranks);
+    expect_same_ranks(first, second, std::to_string(nranks) + " ranks");
+    EXPECT_EQ(first.makespan(), second.makespan()) << nranks;
+  }
+}
+
+TEST(EventBackend, PioBlastOutputBytesRepeat) {
   seqdb::GeneratorConfig gen;
   gen.target_residues = 60u << 10;
   gen.seed = 11;
   const auto db = seqdb::generate_database(gen);
   const std::string queries =
       seqdb::write_fasta(seqdb::sample_queries(db, 1024, 3));
-  auto run_one = [&](mpisim::ExecModel exec) {
+  auto run_one = [&] {
     pario::ClusterStorage storage(altix(), 4);
     storage.shared().write_all(
         "queries.fa",
@@ -133,7 +117,6 @@ TEST(EventBackend, PioBlastOutputBytesMatchThreads) {
     seqdb::format_db(storage.shared(), db, "db", seqdb::SeqType::kProtein,
                      "tiny");
     pio::PioBlastOptions opts;
-    opts.exec = exec;
     opts.job.db_base = "db";
     opts.job.query_path = "queries.fa";
     opts.job.output_path = "out.txt";
@@ -141,45 +124,37 @@ TEST(EventBackend, PioBlastOutputBytesMatchThreads) {
     pio::run_pioblast(altix(), 4, storage, opts);
     return storage.shared().read_all("out.txt");
   };
-  const auto baseline = run_one(kThreads);
+  const auto baseline = run_one();
   ASSERT_FALSE(baseline.empty());
-  EXPECT_EQ(run_one(kEvents), baseline);
+  EXPECT_EQ(run_one(), baseline);
 }
 
 // ---------- tree collectives at non-power-of-two sizes ---------------------
 
 TEST(TreeCollectives, CorrectAtAwkwardWorldSizes) {
-  for (const auto exec : {kThreads, kEvents}) {
-    if (exec == kEvents && !mpisim::events_supported()) continue;
-    for (int nranks : {2, 3, 5, 6, 7, 9, 12, 17}) {
-      const int root = nranks - 1;  // non-zero root exercises renumbering
-      std::vector<std::vector<std::uint8_t>> bcast_got(
-          static_cast<std::size_t>(nranks));
-      std::vector<sim::Time> reduce_got(static_cast<std::size_t>(nranks), -1);
-      mpisim::RunOptions opts;
-      opts.exec_model = exec;
-      mpisim::run(
-          nranks, altix(),
-          [&](mpisim::Process& p) {
-            p.barrier();
-            std::vector<std::uint8_t> blob;
-            if (p.rank() == root) blob = {1, 2, 3, 4};
-            p.bcast(blob, root);
-            bcast_got[static_cast<std::size_t>(p.rank())] = blob;
-            // Skewed clocks make the max distinctive before the reduce.
-            p.compute(1e-3 * (p.rank() + 1));
-            reduce_got[static_cast<std::size_t>(p.rank())] =
-                p.allreduce_max(static_cast<sim::Time>(100 + p.rank()));
-          },
-          opts);
-      for (int r = 0; r < nranks; ++r) {
-        EXPECT_EQ(bcast_got[static_cast<std::size_t>(r)],
-                  (std::vector<std::uint8_t>{1, 2, 3, 4}))
-            << "bcast " << nranks << " rank " << r;
-        EXPECT_EQ(reduce_got[static_cast<std::size_t>(r)],
-                  static_cast<sim::Time>(100 + nranks - 1))
-            << "allreduce " << nranks << " rank " << r;
-      }
+  for (int nranks : {2, 3, 5, 6, 7, 9, 12, 17}) {
+    const int root = nranks - 1;  // non-zero root exercises renumbering
+    std::vector<std::vector<std::uint8_t>> bcast_got(
+        static_cast<std::size_t>(nranks));
+    std::vector<sim::Time> reduce_got(static_cast<std::size_t>(nranks), -1);
+    mpisim::run(nranks, altix(), [&](mpisim::Process& p) {
+      p.barrier();
+      std::vector<std::uint8_t> blob;
+      if (p.rank() == root) blob = {1, 2, 3, 4};
+      p.bcast(blob, root);
+      bcast_got[static_cast<std::size_t>(p.rank())] = blob;
+      // Skewed clocks make the max distinctive before the reduce.
+      p.compute(1e-3 * (p.rank() + 1));
+      reduce_got[static_cast<std::size_t>(p.rank())] =
+          p.allreduce_max(static_cast<sim::Time>(100 + p.rank()));
+    });
+    for (int r = 0; r < nranks; ++r) {
+      EXPECT_EQ(bcast_got[static_cast<std::size_t>(r)],
+                (std::vector<std::uint8_t>{1, 2, 3, 4}))
+          << "bcast " << nranks << " rank " << r;
+      EXPECT_EQ(reduce_got[static_cast<std::size_t>(r)],
+                static_cast<sim::Time>(100 + nranks - 1))
+          << "allreduce " << nranks << " rank " << r;
     }
   }
 }
@@ -205,27 +180,21 @@ TEST(TreeCollectives, BarrierSynchronizesSkewedClocks) {
   }
 }
 
-// ---------- verifier, faults, and the stuck path on events -----------------
+// ---------- verifier, faults, and the stuck path ---------------------------
 
 void deadlock_job(mpisim::Process& p) {
   if (p.rank() == 1) p.recv(0, 5);  // nobody ever sends
 }
 
 TEST(EventBackend, VerifierReportsDeadlock) {
-  REQUIRE_EVENTS();
-  mpisim::RunOptions opts;
-  opts.exec_model = kEvents;
-  EXPECT_THROW(mpisim::run(2, altix(), deadlock_job, opts),
-               mpisim::VerifyError);
+  EXPECT_THROW(mpisim::run(2, altix(), deadlock_job), mpisim::VerifyError);
 }
 
 TEST(EventBackend, StuckHandlerUnwindsWedgeWithVerifierOff) {
-  REQUIRE_EVENTS();
   // With the verifier off a wedged job has nobody to call deadlock; the
   // event loop's stuck handler must poison the blocked receives so the
   // job unwinds with a report instead of spinning forever.
   mpisim::RunOptions opts;
-  opts.exec_model = kEvents;
   opts.verify.enabled = false;
   try {
     mpisim::run(2, altix(), deadlock_job, opts);
@@ -240,9 +209,7 @@ TEST(EventBackend, StuckHandlerUnwindsWedgeWithVerifierOff) {
 }
 
 TEST(EventBackend, CrashFaultRetiresRankAndSurvivorsFinish) {
-  REQUIRE_EVENTS();
   mpisim::RunOptions opts;
-  opts.exec_model = kEvents;
   opts.faults.at(2).crash_at = 1;  // dies at its gather send
   std::vector<std::vector<std::uint8_t>> gathered;
   const auto report = mpisim::run(
@@ -262,11 +229,9 @@ TEST(EventBackend, CrashFaultRetiresRankAndSurvivorsFinish) {
   EXPECT_TRUE(gathered[2].empty());
 }
 
-TEST(EventBackend, FaultRunClocksMatchThreads) {
-  REQUIRE_EVENTS();
-  auto run_one = [&](mpisim::ExecModel exec) {
+TEST(EventBackend, FaultRunClocksRepeat) {
+  auto run_one = [] {
     mpisim::RunOptions opts;
-    opts.exec_model = exec;
     opts.faults.at(2).crash_at = 2;
     opts.faults.at(1).slow = 3.0;
     return mpisim::run(
@@ -278,14 +243,9 @@ TEST(EventBackend, FaultRunClocksMatchThreads) {
         },
         opts);
   };
-  const auto threads = run_one(kThreads);
-  const auto events = run_one(kEvents);
-  for (int r = 0; r < 4; ++r) {
-    const auto& t = threads.ranks[static_cast<std::size_t>(r)];
-    const auto& e = events.ranks[static_cast<std::size_t>(r)];
-    EXPECT_EQ(e.crashed, t.crashed) << "rank " << r;
-    EXPECT_EQ(e.final_clock, t.final_clock) << "rank " << r;
-  }
+  const auto first = run_one();
+  EXPECT_TRUE(first.ranks[2].crashed);
+  expect_same_ranks(first, run_one(), "fault run");
 }
 
 // ---------- CoopScheduler as the event loop's chooser ----------------------
@@ -304,10 +264,9 @@ void fan_in_job(mpisim::Process& p) {
 }
 
 std::vector<mpicheck::DecisionRecord> coop_records(
-    mpisim::ExecModel exec, const mpicheck::CoopScheduler::Chooser& chooser) {
+    const mpicheck::CoopScheduler::Chooser& chooser) {
   mpicheck::CoopScheduler coop(chooser);
   mpisim::RunOptions opts;
-  opts.exec_model = exec;
   opts.schedule = &coop;
   mpisim::run(3, altix(), fan_in_job, opts);
   return coop.records();
@@ -329,25 +288,23 @@ void expect_same_records(const std::vector<mpicheck::DecisionRecord>& a,
   }
 }
 
-TEST(CoopOnEvents, DecisionRecordsMatchThreadedBackend) {
-  REQUIRE_EVENTS();
+TEST(CoopOnEvents, DecisionRecordsRepeat) {
   {
-    const auto t = coop_records(kThreads, mpicheck::CoopScheduler::first_enabled());
-    const auto e = coop_records(kEvents, mpicheck::CoopScheduler::first_enabled());
-    ASSERT_FALSE(t.empty());
-    expect_same_records(t, e);
+    const auto first = coop_records(mpicheck::CoopScheduler::first_enabled());
+    const auto second = coop_records(mpicheck::CoopScheduler::first_enabled());
+    ASSERT_FALSE(first.empty());
+    expect_same_records(first, second);
   }
   const std::uint64_t seeds[] = {1, 42, 2026};
   for (std::uint64_t seed : seeds) {
-    const auto t = coop_records(kThreads, mpicheck::CoopScheduler::random(seed));
-    const auto e = coop_records(kEvents, mpicheck::CoopScheduler::random(seed));
-    ASSERT_FALSE(t.empty()) << "seed " << seed;
-    expect_same_records(t, e);
+    const auto first = coop_records(mpicheck::CoopScheduler::random(seed));
+    const auto second = coop_records(mpicheck::CoopScheduler::random(seed));
+    ASSERT_FALSE(first.empty()) << "seed " << seed;
+    expect_same_records(first, second);
   }
 }
 
-TEST(CoopOnEvents, ScheduleRecordedOnThreadsReplaysOnEvents) {
-  REQUIRE_EVENTS();
+TEST(CoopOnEvents, RecordedScheduleReplays) {
   mpicheck::CoopScheduler recorder(mpicheck::CoopScheduler::random(7));
   mpisim::RunOptions opts;
   opts.schedule = &recorder;
@@ -356,52 +313,143 @@ TEST(CoopOnEvents, ScheduleRecordedOnThreadsReplaysOnEvents) {
 
   mpicheck::CoopScheduler replayer(
       mpicheck::CoopScheduler::forced(recorder.schedule()));
-  opts.exec_model = kEvents;
   opts.schedule = &replayer;
   mpisim::run(3, altix(), fan_in_job, opts);
   expect_same_records(recorder.records(), replayer.records());
 }
 
-TEST(CoopOnEvents, CheckerStatisticsAreBackendBlind) {
-  REQUIRE_EVENTS();
+TEST(CoopOnEvents, CheckerStatisticsRepeat) {
   // The explorer's whole decision tree — random sweep, preemption sweep,
-  // DPOR pruning — must be identical on either backend, because the
-  // decision streams feeding it are.
-  auto job_for = [&](mpisim::ExecModel exec) -> mpicheck::Checker::Job {
-    return [exec](mpisim::ScheduleHook* schedule, mpisim::RaceHook* race) {
-      mpisim::RunOptions opts;
-      opts.schedule = schedule;
-      opts.race = race;
-      opts.exec_model = exec;
-      mpisim::run(3, altix(), fan_in_job, opts);
-    };
+  // DPOR pruning — must come out the same on every run, because the
+  // decision streams feeding it do.
+  const mpicheck::Checker::Job job = [](mpisim::ScheduleHook* schedule,
+                                        mpisim::RaceHook* race) {
+    mpisim::RunOptions opts;
+    opts.schedule = schedule;
+    opts.race = race;
+    mpisim::run(3, altix(), fan_in_job, opts);
   };
   mpicheck::CheckOptions copts;
   copts.random_schedules = 25;
   copts.preemption_bound = 1;
   copts.max_schedules = 300;
-  const auto threads = mpicheck::Checker(job_for(kThreads), copts).run();
-  const auto events = mpicheck::Checker(job_for(kEvents), copts).run();
-  EXPECT_EQ(mpicheck::summary(events), mpicheck::summary(threads));
-  EXPECT_FALSE(threads.failed);
-  EXPECT_GT(threads.schedules_explored, 0);
+  const auto first = mpicheck::Checker(job, copts).run();
+  const auto second = mpicheck::Checker(job, copts).run();
+  EXPECT_EQ(mpicheck::summary(second), mpicheck::summary(first));
+  EXPECT_FALSE(first.failed);
+  EXPECT_GT(first.schedules_explored, 0);
 }
 
 // ---------- direct EventLoop edge: stuck fires once ------------------------
 
 TEST(EventLoopUnit, WentStuckReflectsWedge) {
-  REQUIRE_EVENTS();
-  // went_stuck() is the loop's own flag (exposed for the runtime and
-  // tests); a clean job must leave it false.
+  mpicheck::CoopScheduler coop;  // observes stuck() on a wedge
   mpisim::RunOptions opts;
-  opts.exec_model = kEvents;
-  mpisim::run(3, altix(), fan_in_job, opts);  // completes: no stuck
-  mpicheck::CoopScheduler coop;  // observes inline_stuck on a wedge
   opts.schedule = &coop;
+  mpisim::run(3, altix(), fan_in_job, opts);  // completes: no stuck
+  EXPECT_FALSE(coop.went_stuck());
   opts.verify.enabled = false;
   EXPECT_THROW(mpisim::run(2, altix(), deadlock_job, opts),
                mpisim::VerifyError);
   EXPECT_TRUE(coop.went_stuck());
+}
+
+// ---------- Process::offload ------------------------------------------------
+
+TEST(Offload, ExceptionReachesRunCaller) {
+  try {
+    mpisim::run(4, altix(), [](mpisim::Process& p) {
+      p.offload([&p] {
+        if (p.rank() == 2) throw std::runtime_error("offloaded failure");
+      });
+      p.barrier();
+    });
+    FAIL() << "offloaded exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "offloaded failure");
+  }
+}
+
+/// Each rank offloads a closure whose host duration is skewed against
+/// submission order — rank r sleeps (n - r) ms, so rank 1 finishes last —
+/// then charges a rank-dependent cost and talks to its neighbours and to
+/// the root. With `offloaded` false the same closure runs inline. With
+/// `any_source` the root takes the fan-in in whatever order the loop
+/// delivers it, which pins the resume order itself: a run whose root
+/// matched in host-completion order would change its clocks.
+void skewed_job(mpisim::Process& p, bool offloaded, bool any_source) {
+  const int n = p.size();
+  std::uint64_t units = 0;
+  auto work = [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(n - p.rank()));
+    units = 10 + 7 * static_cast<std::uint64_t>(p.rank());
+  };
+  if (offloaded) {
+    p.offload(work);
+  } else {
+    work();
+  }
+  p.compute(1e-5 * static_cast<double>(units));
+  const std::uint8_t byte = static_cast<std::uint8_t>(p.rank());
+  p.send((p.rank() + 1) % n, 5, std::span(&byte, 1));
+  p.recv((p.rank() - 1 + n) % n, 5);
+  if (p.is_root()) {
+    for (int i = 1; i < n; ++i) p.recv(any_source ? mpisim::kAnySource : i, 6);
+  } else {
+    p.send(0, 6, {});
+  }
+  p.barrier();
+}
+
+struct TracedRun {
+  mpisim::RunReport report;
+  std::string trace;
+};
+
+TracedRun run_skewed(bool offloaded, bool any_source) {
+  mpisim::Tracer tracer;
+  TracedRun out;
+  out.report = mpisim::run(
+      6, altix(),
+      [&](mpisim::Process& p) { skewed_job(p, offloaded, any_source); },
+      &tracer);
+  std::ostringstream os;
+  tracer.render(os, std::numeric_limits<std::size_t>::max());
+  out.trace = os.str();
+  return out;
+}
+
+TEST(Offload, SkewedHostDurationsMatchInlineRun) {
+  const TracedRun inline_run = run_skewed(false, false);
+  const TracedRun offloaded = run_skewed(true, false);
+  ASSERT_FALSE(inline_run.trace.empty());
+  EXPECT_EQ(offloaded.trace, inline_run.trace);
+  expect_same_ranks(offloaded.report, inline_run.report, "offload vs inline");
+  // Any-source fan-in: the match order is the loop's, so two offloaded
+  // runs must still agree event for event.
+  const TracedRun first = run_skewed(true, true);
+  const TracedRun second = run_skewed(true, true);
+  EXPECT_EQ(second.trace, first.trace);
+  expect_same_ranks(second.report, first.report, "offload run twice");
+}
+
+TEST(Offload, ChooserRunsClosureInlineAndScheduleReplays) {
+  const auto loop_thread = std::this_thread::get_id();
+  auto job = [&](mpisim::Process& p) {
+    p.offload([&] { EXPECT_EQ(std::this_thread::get_id(), loop_thread); });
+    fan_in_job(p);
+  };
+  mpicheck::CoopScheduler recorder(mpicheck::CoopScheduler::random(11));
+  mpisim::RunOptions opts;
+  opts.schedule = &recorder;
+  mpisim::run(3, altix(), job, opts);
+  ASSERT_FALSE(recorder.records().empty());
+
+  mpicheck::CoopScheduler replayer(
+      mpicheck::CoopScheduler::forced(recorder.schedule()));
+  opts.schedule = &replayer;
+  mpisim::run(3, altix(), job, opts);
+  expect_same_records(recorder.records(), replayer.records());
 }
 
 }  // namespace

@@ -821,7 +821,7 @@ TEST(FaultMatrix, MpiBlastSurvivesCrashWithIdenticalOutput) {
 TEST(FaultMatrix, PioBlastDynamicSurvivesCrashWithIdenticalOutput) {
   const int nprocs = 4, victim = 3;
   pio::PioBlastOptions dyn;
-  dyn.dynamic_scheduling = true;
+  dyn.scheduler = driver::SchedulerKind::kGreedyDynamic;
   dyn.job.nfragments = 6;
 
   pario::ClusterStorage clean(altix(), nprocs);
@@ -859,7 +859,7 @@ TEST(FaultMatrix, BufferedRoundsAndSievingPreserveOutputAcrossCrash) {
   // collective write carry the output.
   const int nprocs = 4, victim = 3;
   pio::PioBlastOptions v2;
-  v2.dynamic_scheduling = true;
+  v2.scheduler = driver::SchedulerKind::kGreedyDynamic;
   v2.hints.cb_buffer_size = 512;  // force several exchange rounds
   pio::PioBlastOptions naive = v2;
   naive.hints.list_io = false;

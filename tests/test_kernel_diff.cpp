@@ -1013,7 +1013,7 @@ std::vector<std::uint8_t> run_pio_kernel(const DriverWorkload& w, int nprocs,
   opts.faults = faults;
   opts.tracer = tracer;
   if (dynamic) {
-    opts.dynamic_scheduling = true;
+    opts.scheduler = driver::SchedulerKind::kGreedyDynamic;
     opts.job.nfragments = 6;
   }
   pio::run_pioblast(cluster, nprocs, storage, opts);

@@ -1,5 +1,5 @@
 // Tests for mpicheck (ctest label: mpicheck): the deterministic
-// cooperative scheduler, schedule traces and replay, the systematic
+// schedule chooser, schedule traces and replay, the systematic
 // explorer (seeded random, preemption-bounded, sleep-set DPOR-lite) with
 // failing-trace shrinking, and the happens-before + lockset race
 // detector.
@@ -79,7 +79,7 @@ TEST(ScheduleTrace, ParseRejectsGarbage) {
   EXPECT_THROW(parse_schedule("-3"), util::RuntimeError);
 }
 
-// ---------- cooperative scheduler: determinism and replay ------------------
+// ---------- schedule chooser: determinism and replay -----------------------
 
 /// Two workers race their messages to an any-source master; every
 /// interleaving is legal, so this job only probes determinism.

@@ -3,10 +3,8 @@
 // poisoning, and virtual-clock behaviour under communication.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
 #include <numeric>
-#include <thread>
 
 #include "mpisim/mailbox.h"
 #include "mpisim/runtime.h"
@@ -122,16 +120,13 @@ TEST(Mailbox, TryPopMissLeavesQueueIntactAndHitDrains) {
   EXPECT_FALSE(mb.try_pop(kAnySource, 5).has_value());  // now empty
 }
 
-TEST(Mailbox, PoisonRacesBlockedPop) {
-  // The poison must wake a pop that is already asleep in the cv wait, not
-  // just reject future calls.
+TEST(Mailbox, BlockingPopWithoutEventLoopThrows) {
+  // Outside mpisim::run no loop is bound, so nothing could ever deliver
+  // the message: the pop must fail loudly instead of waiting forever.
   Mailbox mb;
-  std::thread receiver([&] {
-    EXPECT_THROW(mb.pop(1, 1), util::RuntimeError);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  mb.poison();
-  receiver.join();
+  mb.push({1, 5, 0.0, {}});
+  EXPECT_THROW(mb.pop(2, 5), util::RuntimeError);
+  EXPECT_EQ(mb.pending(), 1u);
 }
 
 TEST(Mailbox, VerifyPoisonCarriesReasonAsVerifyError) {

@@ -155,12 +155,15 @@ TEST(Stress, MailboxConcurrentProducers) {
       }
     });
   }
+  // Ranks only ever pop on the event loop's thread, so the consumer drains
+  // after the producers joined; the concurrent pushes are what the mutex
+  // must survive.
+  for (auto& t : producers) t.join();
   int received = 0;
   for (int i = 0; i < 4 * kPerProducer; ++i) {
     (void)mb.pop(kAnySource, 1);
     ++received;
   }
-  for (auto& t : producers) t.join();
   EXPECT_EQ(received, 4 * kPerProducer);
   EXPECT_EQ(mb.pending(), 0u);
 }

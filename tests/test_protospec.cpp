@@ -6,7 +6,7 @@
 // small worlds with and without a crash budget, detection of seeded spec
 // bugs (a dropped fault-notice edge, a dropped end-of-query edge), trace
 // parsing, end-to-end conformance of real driver runs (both drivers, both
-// exec models, crash faults, forced mpicheck schedules), detection of a
+// event-loop modes, crash faults, forced mpicheck schedules), detection of a
 // seeded runtime divergence, and the serve_work crash-notice/final-request
 // ordering regression the model checker originally found.
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "driver/scheduler.h"
 #include "driver/work_queue.h"
 #include "mpiblast/mpiblast.h"
+#include "mpicheck/coop.h"
 #include "mpicheck/explore.h"
 #include "mpisim/fault.h"
 #include "mpisim/runtime.h"
@@ -264,13 +265,20 @@ blast::DriverResult run_pio(pario::ClusterStorage& storage, int nprocs,
   return pio::run_pioblast(altix(), nprocs, storage, opts);
 }
 
+/// The event loop's two execution modes (mpisim/event_loop.h): the plain
+/// run-to-block loop with offloaded compute, and checked mode under a
+/// schedule chooser, where every yield point is a decision.
+std::vector<mpisim::ScheduleHook*> loop_modes(mpicheck::CoopScheduler& coop) {
+  return {nullptr, &coop};
+}
+
 TEST(ProtospecConform, MpiblastConformsBothExecModels) {
-  for (const auto exec :
-       {mpisim::ExecModel::kThreads, mpisim::ExecModel::kEvents}) {
+  mpicheck::CoopScheduler coop;
+  for (mpisim::ScheduleHook* schedule : loop_modes(coop)) {
     pario::ClusterStorage storage(altix(), 4);
     mpiblast::MpiBlastOptions opts;
     opts.conformance = true;
-    opts.exec = exec;
+    opts.schedule = schedule;
     const auto result = run_mpi(storage, 4, 3, opts);
     EXPECT_NE(result.conformance.find("result=ok"), std::string::npos)
         << result.conformance;
@@ -278,17 +286,13 @@ TEST(ProtospecConform, MpiblastConformsBothExecModels) {
 }
 
 TEST(ProtospecConform, MpiblastCrashTraceConforms) {
-  for (const auto exec :
-       {mpisim::ExecModel::kThreads, mpisim::ExecModel::kEvents}) {
-    pario::ClusterStorage storage(altix(), 4);
-    mpiblast::MpiBlastOptions opts;
-    opts.conformance = true;
-    opts.exec = exec;
-    opts.faults.at(2).crash_at = 9;
-    const auto result = run_mpi(storage, 4, 3, opts);
-    EXPECT_NE(result.conformance.find("result=ok"), std::string::npos)
-        << result.conformance;
-  }
+  pario::ClusterStorage storage(altix(), 4);
+  mpiblast::MpiBlastOptions opts;
+  opts.conformance = true;
+  opts.faults.at(2).crash_at = 9;
+  const auto result = run_mpi(storage, 4, 3, opts);
+  EXPECT_NE(result.conformance.find("result=ok"), std::string::npos)
+      << result.conformance;
 }
 
 TEST(ProtospecConform, PioblastVariantsConform) {
@@ -302,7 +306,7 @@ TEST(ProtospecConform, PioblastVariantsConform) {
     pario::ClusterStorage storage(altix(), 4);
     pio::PioBlastOptions opts;
     opts.conformance = true;
-    opts.dynamic_scheduling = v.dynamic;
+    if (v.dynamic) opts.scheduler = driver::SchedulerKind::kGreedyDynamic;
     opts.early_score_broadcast = v.early;
     opts.query_batch = v.batch;
     const auto result = run_pio(storage, 4, opts);
@@ -313,13 +317,13 @@ TEST(ProtospecConform, PioblastVariantsConform) {
 }
 
 TEST(ProtospecConform, PioblastCrashTraceConformsBothExecModels) {
-  for (const auto exec :
-       {mpisim::ExecModel::kThreads, mpisim::ExecModel::kEvents}) {
+  mpicheck::CoopScheduler coop;
+  for (mpisim::ScheduleHook* schedule : loop_modes(coop)) {
     pario::ClusterStorage storage(altix(), 4);
     pio::PioBlastOptions opts;
     opts.conformance = true;
-    opts.dynamic_scheduling = true;
-    opts.exec = exec;
+    opts.scheduler = driver::SchedulerKind::kGreedyDynamic;
+    opts.schedule = schedule;
     opts.faults.at(3).crash_at = 9;
     const auto result = run_pio(storage, 4, opts);
     EXPECT_NE(result.conformance.find("result=ok"), std::string::npos)

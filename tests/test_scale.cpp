@@ -1,8 +1,8 @@
 // Large-world smoke tests (ctest label: scale).
 //
-// These exist to keep the event backend honest at the scale it was built
-// for: worlds of 1024+ ranks in one process, where the thread-per-rank
-// backend would need more kernel threads than most CI containers allow.
+// These exist to keep the event loop honest at the scale it was built
+// for: worlds of 1024+ ranks in one process, each rank a parked fiber
+// rather than a kernel thread.
 // Kept in their own binary so `ctest -L scale` runs exactly this file —
 // CI's scale job pairs it with a 1024-rank fig3a tiny sweep.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 
 #include "driver/scheduler.h"
 #include "driver/work_queue.h"
-#include "mpisim/exec.h"
 #include "mpisim/runtime.h"
 
 namespace pioblast {
@@ -21,18 +20,7 @@ namespace {
 
 sim::ClusterConfig altix() { return sim::ClusterConfig::ornl_altix(); }
 
-mpisim::RunOptions event_opts() {
-  mpisim::RunOptions opts;
-  opts.exec_model = mpisim::ExecModel::kEvents;
-  return opts;
-}
-
-#define REQUIRE_EVENTS()                                       \
-  if (!mpisim::events_supported())                             \
-  GTEST_SKIP() << "stackful fibers unavailable on this platform"
-
 TEST(Scale, ThousandRankCollectives) {
-  REQUIRE_EVENTS();
   const int nranks = 1024;
   std::vector<sim::Time> reduced(static_cast<std::size_t>(nranks), -1);
   const auto report = mpisim::run(
@@ -46,8 +34,7 @@ TEST(Scale, ThousandRankCollectives) {
         ASSERT_EQ(blob.size(), 32u) << "rank " << p.rank();
         reduced[static_cast<std::size_t>(p.rank())] =
             p.allreduce_max(static_cast<sim::Time>(p.rank()));
-      },
-      event_opts());
+      });
   ASSERT_EQ(report.ranks.size(), static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     EXPECT_EQ(reduced[static_cast<std::size_t>(r)],
@@ -58,7 +45,6 @@ TEST(Scale, ThousandRankCollectives) {
 }
 
 TEST(Scale, ThousandRankWorkQueueDrains) {
-  REQUIRE_EVENTS();
   const int nranks = 1024;
   const std::uint32_t ntasks = 4096;
   std::vector<std::vector<std::uint32_t>> served(
@@ -80,8 +66,7 @@ TEST(Scale, ThousandRankWorkQueueDrains) {
             served[static_cast<std::size_t>(p.rank())].push_back(*task);
           }
         }
-      },
-      event_opts());
+      });
   std::set<std::uint32_t> all;
   std::size_t total = 0;
   for (const auto& v : served) {
@@ -93,12 +78,11 @@ TEST(Scale, ThousandRankWorkQueueDrains) {
 }
 
 TEST(Scale, FourThousandRankBarrierTree) {
-  REQUIRE_EVENTS();
   // Pure tree traffic at the headline world size: O(P log P) messages on
   // one thread. Completing at all (and quickly) is the assertion.
   const int nranks = 4096;
-  const auto report = mpisim::run(
-      nranks, altix(), [](mpisim::Process& p) { p.barrier(); }, event_opts());
+  const auto report =
+      mpisim::run(nranks, altix(), [](mpisim::Process& p) { p.barrier(); });
   EXPECT_EQ(report.ranks.size(), static_cast<std::size_t>(nranks));
   EXPECT_GT(report.makespan(), 0.0);
 }

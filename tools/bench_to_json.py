@@ -10,7 +10,7 @@ This script collects those lines — from files given on the command line or
 from stdin — and writes them as one JSON document, so figure data survives
 as an artifact instead of scrollback:
 
-    bench/fig3a_scalability --ranks 64,512,4096 --exec-model events \
+    bench/fig3a_scalability --ranks 64,512,4096 \
         | tools/bench_to_json.py -o BENCH_scalability.json
 
 Lines that are not ROW lines are ignored, so piping the bench's full

@@ -199,10 +199,6 @@ int run_cli(int argc, char** argv) {
       .add("kernel", "fast",
            "search kernel: fast (batched fragment index + SWAR extension) | "
            "scalar (reference); outputs are bit-identical")
-      .add("exec-model", "threads",
-           "rank execution backend: threads (one OS thread per rank) | "
-           "events (stackful fibers on one thread; required in practice "
-           "for worlds beyond a few hundred ranks)")
       .add("pario-hints", "",
            "MPI-IO-style access hints, comma-separated key=value: "
            "cb_nodes=N, cb_buffer_size=SIZE (0 = unbounded), ds_read="
@@ -210,7 +206,6 @@ int run_cli(int argc, char** argv) {
            "list=on|off; sizes accept k/m/g suffixes "
            "(e.g. \"cb_nodes=8,cb_buffer_size=1m,ds_read=enable\")")
       .add_flag("early-score-broadcast", "enable the §5 pruning extension")
-      .add_flag("dynamic-scheduling", "greedy range scheduling (§5)")
       .add_flag("metrics", "print one machine-readable METRICS line per run")
       .add_flag("trace", "print the head of the event timeline")
       .add_flag("conformance",
@@ -249,10 +244,6 @@ int run_cli(int argc, char** argv) {
       args, "evalue", [&](const std::string&) { return args.get_double("evalue"); });
   const blast::KernelKind kernel = parse_flag(
       args, "kernel", [](const std::string& v) { return blast::parse_kernel(v); });
-  const mpisim::ExecModel exec =
-      parse_flag(args, "exec-model", [](const std::string& v) {
-        return mpisim::parse_exec_model(v);
-      });
   std::optional<driver::SchedulerKind> scheduler;
   if (!args.get("scheduler").empty())
     scheduler = parse_flag(args, "scheduler", [](const std::string& v) {
@@ -359,7 +350,6 @@ int run_cli(int argc, char** argv) {
     opts.global_index = parts.global_index;
     opts.hints = hints;
     opts.faults = faults;
-    opts.exec = exec;
     opts.kernel = kernel;
     if (scheduler) opts.scheduler = *scheduler;
     blast::DriverResult result;
@@ -390,10 +380,8 @@ int run_cli(int argc, char** argv) {
     opts.conformance = conformance;
     opts.job.output_path = "out.pioblast.txt";
     opts.early_score_broadcast = args.get_flag("early-score-broadcast");
-    opts.dynamic_scheduling = args.get_flag("dynamic-scheduling");
     opts.hints = hints;
     opts.faults = faults;
-    opts.exec = exec;
     opts.kernel = kernel;
     if (scheduler) opts.scheduler = *scheduler;
     blast::DriverResult result;
