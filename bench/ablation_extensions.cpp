@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
                    util::fixed(r.phases.search, 2),
                    util::fixed(r.phases.output, 3),
                    util::fixed(r.phases.total, 2),
-                   std::to_string(r.candidates_merged)});
+                   std::to_string(r.metrics.at("candidates_merged"))});
   };
 
   add("baseline",

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     const double other = r.phases.total - r.phases.search;
     table.add_row({std::to_string(nfragments), util::fixed(r.phases.search, 2),
                    util::fixed(other, 2), util::fixed(r.phases.total, 2),
-                   std::to_string(r.candidates_merged)});
+                   std::to_string(r.metrics.at("candidates_merged"))});
   }
   table.print(std::cout);
   return bench::finish(table, argc, argv);

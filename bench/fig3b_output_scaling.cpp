@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     const auto mpi =
         bench::run_mpiblast_job(cluster, nprocs, db, queries, job, nprocs - 1);
     const auto pio = bench::run_pioblast_job(cluster, nprocs, db, queries, job);
-    const std::string size = util::format_bytes(mpi.output_bytes);
+    const std::string size = util::format_bytes(mpi.metrics.at("output_bytes"));
     const double mpi_other = mpi.phases.total - mpi.phases.search;
     const double pio_other = pio.phases.total - pio.phases.search;
     table.add_row({"mpi-" + size, util::fixed(mpi.phases.search, 2),
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
                    size});
     table.add_row({"pio-" + size, util::fixed(pio.phases.search, 2),
                    util::fixed(pio_other, 2), util::fixed(pio.phases.total, 2),
-                   util::format_bytes(pio.output_bytes)});
+                   util::format_bytes(pio.metrics.at("output_bytes"))});
     if (mpi_other_first < 0) {
       mpi_other_first = mpi_other;
       pio_other_first = pio_other;

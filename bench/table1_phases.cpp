@@ -46,11 +46,14 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   std::printf("\noutput: %s, alignments: %llu\n",
-              util::format_bytes(pio.output_bytes).c_str(),
-              static_cast<unsigned long long>(pio.alignments_reported));
+              util::format_bytes(pio.metrics.at("output_bytes")).c_str(),
+              static_cast<unsigned long long>(
+                  pio.metrics.at("alignments_reported")));
   std::printf("candidates screened: mpiBLAST=%llu pioBLAST=%llu\n",
-              static_cast<unsigned long long>(mpi.candidates_merged),
-              static_cast<unsigned long long>(pio.candidates_merged));
+              static_cast<unsigned long long>(
+                  mpi.metrics.at("candidates_merged")),
+              static_cast<unsigned long long>(
+                  pio.metrics.at("candidates_merged")));
   std::printf("result-submission bytes to master: mpiBLAST=%llu pioBLAST=%llu\n",
               static_cast<unsigned long long>(
                   mpi.report.ranks.size() ? mpi.report.ranks[1].bytes_sent : 0),

@@ -28,12 +28,13 @@ int main(int argc, char** argv) {
         bench::QuerySizes::kDefault, bench::QuerySizes::kLarge}) {
     const auto queries = bench::make_query_set(db, target);
     const auto r = bench::run_pioblast_job(cluster, nprocs, db, queries, job);
+    const auto output_bytes = r.metrics.at("output_bytes");
     std::size_t nqueries = 0;
     for (char c : queries)
       if (c == '>') ++nqueries;
     table.add_row({util::format_bytes(queries.size()), std::to_string(nqueries),
-                   util::format_bytes(r.output_bytes),
-                   util::fixed(static_cast<double>(r.output_bytes) /
+                   util::format_bytes(output_bytes),
+                   util::fixed(static_cast<double>(output_bytes) /
                                    static_cast<double>(queries.size()),
                                1)});
   }

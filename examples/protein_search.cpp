@@ -57,8 +57,10 @@ int main() {
         "batch %d: %zu queries -> %llu alignments, output %s, virtual time "
         "%.2f s (search %.0f%%)\n",
         batch, queries.size(),
-        static_cast<unsigned long long>(result.alignments_reported),
-        util::format_bytes(result.output_bytes).c_str(), result.phases.total,
+        static_cast<unsigned long long>(
+            result.metrics.at("alignments_reported")),
+        util::format_bytes(result.metrics.at("output_bytes")).c_str(),
+        result.phases.total,
         100 * result.phases.search_fraction());
   }
 

@@ -81,11 +81,14 @@ int main() {
   row("pioBLAST", pio_result.phases);
   table.print(std::cout);
   std::printf("\noutput size: %s (%llu alignments)\n",
-              util::format_bytes(pio_result.output_bytes).c_str(),
-              static_cast<unsigned long long>(pio_result.alignments_reported));
+              util::format_bytes(pio_result.metrics.at("output_bytes")).c_str(),
+              static_cast<unsigned long long>(
+                  pio_result.metrics.at("alignments_reported")));
   std::printf("candidates screened by master: mpiBLAST=%llu pioBLAST=%llu\n",
-              static_cast<unsigned long long>(mpi_result.candidates_merged),
-              static_cast<unsigned long long>(pio_result.candidates_merged));
+              static_cast<unsigned long long>(
+                  mpi_result.metrics.at("candidates_merged")),
+              static_cast<unsigned long long>(
+                  pio_result.metrics.at("candidates_merged")));
 
   // 5. The two programs must produce byte-identical output.
   const auto a = storage.shared().read_all("results.mpiblast.txt");

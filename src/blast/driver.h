@@ -31,15 +31,13 @@ PhaseBreakdown summarize_run(const mpisim::RunReport& report);
 struct DriverResult {
   mpisim::RunReport report;
   PhaseBreakdown phases;
-  std::uint64_t output_bytes = 0;
-  std::uint64_t candidates_merged = 0;    ///< records screened by the master
-  std::uint64_t alignments_reported = 0;  ///< alignments in the final output
   /// Protospec conformance summary ("CONFORM spec=... result=ok") when the
   /// run was monitored (--conformance); empty otherwise. A divergent run
   /// throws mpisim::VerifyError instead of returning.
   std::string conformance;
-  /// Full structured-counter snapshot (driver::RunMetrics). Superset of the
-  /// three legacy fields above, which are kept for existing callers.
+  /// Full structured-counter snapshot (driver::RunMetrics), e.g.
+  /// output_bytes, candidates_merged (records screened by the master) and
+  /// alignments_reported (alignments in the final output).
   std::map<std::string, std::uint64_t> metrics;
 };
 

@@ -15,16 +15,23 @@ MasterWorkerApp::MasterWorkerApp(const sim::ClusterConfig& cluster, int nprocs,
                                  pario::ClusterStorage& storage,
                                  const blast::JobConfig& job,
                                  std::shared_ptr<const blast::QuerySet> queries,
-                                 mpisim::Tracer* tracer)
+                                 const RunConfig& config)
     : cluster_(cluster),
       nprocs_(nprocs),
       storage_(storage),
       job_(job),
       queries_(std::move(queries)),
-      tracer_(tracer),
+      config_(config),
+      tracer_(config.tracer == nullptr && config.conformance ? &own_trace_
+                                                             : config.tracer),
       topology_(WorkerTopology::from_cluster(cluster, nprocs)) {
   PIOBLAST_CHECK_MSG(nprocs >= 2, "drivers need a master and >= 1 worker");
   PIOBLAST_CHECK(queries_ != nullptr);
+}
+
+const mpisim::Tracer& MasterWorkerApp::trace() const {
+  PIOBLAST_CHECK_MSG(tracer_ != nullptr, "run was not traced");
+  return *tracer_;
 }
 
 void MasterWorkerApp::init_stage(mpisim::Process& p) {
@@ -57,10 +64,10 @@ void MasterWorkerApp::worker(mpisim::Process&) {
 blast::DriverResult MasterWorkerApp::run() {
   mpisim::RunOptions opts;
   opts.tracer = tracer_;
-  opts.verify.enabled = verify_;
-  opts.faults = faults_;
-  opts.schedule = schedule_;
-  opts.race = race_;
+  opts.verify.enabled = config_.verify;
+  opts.faults = config_.faults;
+  opts.schedule = config_.schedule;
+  opts.race = config_.race;
   // Seed the tag audit with the driver registry and the pario two-phase
   // exchange's internal band; any other tag on the wire is a protocol bug.
   auto registered = registered_tags();
@@ -104,12 +111,9 @@ blast::DriverResult MasterWorkerApp::run() {
   metrics_.set(kMetricWireMessages, wire_messages);
   // Only fault-tolerant runs carry the counter, so failure-free metric
   // snapshots are unchanged.
-  if (faults_.active()) metrics_.set(kMetricRanksLost, ranks_lost);
+  if (config_.faults.active()) metrics_.set(kMetricRanksLost, ranks_lost);
 
   result.metrics = metrics_.snapshot();
-  result.output_bytes = metrics_.get(kMetricOutputBytes);
-  result.candidates_merged = metrics_.get(kMetricCandidatesMerged);
-  result.alignments_reported = metrics_.get(kMetricAlignmentsReported);
   return result;
 }
 

@@ -19,8 +19,8 @@
 #include "blast/job.h"
 #include "blast/query_set.h"
 #include "driver/metrics.h"
+#include "driver/run_config.h"
 #include "driver/scheduler.h"
-#include "mpisim/fault.h"
 #include "mpisim/process.h"
 #include "mpisim/trace.h"
 #include "pario/env.h"
@@ -30,10 +30,11 @@ namespace pioblast::driver {
 
 class MasterWorkerApp {
  public:
+  /// `config` is not copied and must outlive the app.
   MasterWorkerApp(const sim::ClusterConfig& cluster, int nprocs,
                   pario::ClusterStorage& storage, const blast::JobConfig& job,
                   std::shared_ptr<const blast::QuerySet> queries,
-                  mpisim::Tracer* tracer);
+                  const RunConfig& config);
 
   virtual ~MasterWorkerApp() = default;
 
@@ -45,26 +46,10 @@ class MasterWorkerApp {
   /// metrics, and returns the DriverResult (metrics snapshot included).
   blast::DriverResult run();
 
-  /// Toggles the protocol verifier for the simulated job (on by default).
-  /// When on, the run is audited for deadlock, collective order, tag
-  /// registry conformance, typed payloads, and message leaks.
-  void set_verify(bool verify) { verify_ = verify; }
-
-  /// Arms fault injections (crashes, stragglers, drops) for the run. An
-  /// active plan also switches the runtime and drivers into their
-  /// fault-tolerant paths (flat collectives, master liveness tracking,
-  /// degraded collective I/O). See mpisim/fault.h.
-  void set_faults(mpisim::FaultPlan faults) { faults_ = std::move(faults); }
-
-  /// Attaches mpicheck hooks (either may be null; neither is owned and
-  /// both must outlive run()): a schedule chooser deciding which rank the
-  /// event loop runs next, and a happens-before race detector observing
-  /// message edges and annotated shared-state accesses. See
-  /// mpisim/hooks.h and src/mpicheck.
-  void set_check(mpisim::ScheduleHook* schedule, mpisim::RaceHook* race) {
-    schedule_ = schedule;
-    race_ = race;
-  }
+  /// The run's event trace: the caller's tracer, or the one the app
+  /// records itself when conformance is on and the caller gave none.
+  /// Only valid when either exists.
+  const mpisim::Tracer& trace() const;
 
  protected:
   /// Driver protocol. The default dispatches to master()/worker();
@@ -93,11 +78,11 @@ class MasterWorkerApp {
   pario::ClusterStorage& storage_;
   const blast::JobConfig& job_;
   std::shared_ptr<const blast::QuerySet> queries_;
+  const RunConfig& config_;
+  /// Conformance needs the event stream; recorded here when the caller
+  /// did not ask for a trace.
+  mpisim::Tracer own_trace_;
   mpisim::Tracer* tracer_;
-  bool verify_ = true;
-  mpisim::FaultPlan faults_;
-  mpisim::ScheduleHook* schedule_ = nullptr;
-  mpisim::RaceHook* race_ = nullptr;
   WorkerTopology topology_;
   RunMetrics metrics_;
 };

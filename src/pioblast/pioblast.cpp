@@ -39,14 +39,10 @@ class PioBlastApp final : public driver::MasterWorkerApp {
               std::shared_ptr<const blast::QuerySet> queries,
               driver::SchedulerKind kind)
       : MasterWorkerApp(cluster, nprocs, storage, opts.job, std::move(queries),
-                        opts.tracer),
+                        opts),
         opts_(opts),
         scheduler_(driver::make_scheduler(kind)),
-        dynamic_(kind == driver::SchedulerKind::kGreedyDynamic) {
-    set_verify(opts.verify);
-    set_faults(opts.faults);
-    set_check(opts.schedule, opts.race);
-  }
+        dynamic_(kind == driver::SchedulerKind::kGreedyDynamic) {}
 
  private:
   // The protocol interleaves master and worker steps around shared
@@ -461,17 +457,10 @@ blast::DriverResult run_pioblast(const sim::ClusterConfig& cluster, int nprocs,
       opts.job.params, host_stats);
   const auto nqueries = static_cast<int>(shared_queries->size());
 
-  // Conformance needs the event stream; record one ourselves when the
-  // caller did not ask for a trace.
-  mpisim::Tracer conform_tracer;
-  PioBlastOptions local = opts;
-  if (local.conformance && local.tracer == nullptr)
-    local.tracer = &conform_tracer;
-
-  PioBlastApp app(cluster, nprocs, storage, local, std::move(shared_queries),
+  PioBlastApp app(cluster, nprocs, storage, opts, std::move(shared_queries),
                   kind);
   blast::DriverResult result = app.run();
-  if (local.conformance) {
+  if (opts.conformance) {
     protospec::SpecParams sp;
     sp.nranks = nprocs;
     sp.tasks = opts.job.nfragments > 0 ? opts.job.nfragments : nprocs - 1;
@@ -482,7 +471,7 @@ blast::DriverResult run_pioblast(const sim::ClusterConfig& cluster, int nprocs,
     sp.dynamic = kind == driver::SchedulerKind::kGreedyDynamic;
     sp.early_score = opts.early_score_broadcast;
     result.conformance = protospec::enforce_conformance(
-        *protospec::spec_by_name("pioblast"), sp, local.tracer->sorted());
+        *protospec::spec_by_name("pioblast"), sp, app.trace().sorted());
   }
   return result;
 }

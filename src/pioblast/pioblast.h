@@ -36,33 +36,21 @@
 // and structured messages run over typed driver::Channels.
 #pragma once
 
+#include <cstdint>
+
 #include "blast/driver.h"
-#include "blast/engine.h"
 #include "blast/job.h"
+#include "driver/run_config.h"
 #include "driver/scheduler.h"
-#include "mpisim/exec.h"
-#include "mpisim/fault.h"
-#include "mpisim/hooks.h"
-#include "mpisim/trace.h"
-#include "pario/collective.h"
 #include "pario/env.h"
 #include "sim/cluster.h"
 
 namespace pioblast::pio {
 
-struct PioBlastOptions {
+/// The job plus pioBLAST's own data-movement knobs; everything else about
+/// the run is the shared driver::RunConfig.
+struct PioBlastOptions : driver::RunConfig {
   blast::JobConfig job;
-  /// Optional event tracer (not owned; must outlive the run).
-  mpisim::Tracer* tracer = nullptr;
-  /// Protocol verifier (mpisim/verifier.h): audits the run for deadlock,
-  /// collective order, tag registry conformance, typed payloads, and
-  /// message leaks. On by default; `--verify off` in the CLI disables it.
-  bool verify = true;
-  /// Protospec runtime conformance (protospec/conform.h): replay the run's
-  /// trace against the declarative pioblast protocol spec and throw
-  /// mpisim::VerifyError on the first divergent event. Uses `tracer` when
-  /// set, otherwise records an internal trace. The CLI's --conformance.
-  bool conformance = false;
   bool early_score_broadcast = false;  ///< §5 local-pruning extension
   bool collective_input = false;       ///< read input ranges collectively
   /// Range-assignment policy. Static policies (round-robin, the
@@ -80,28 +68,6 @@ struct PioBlastOptions {
   /// (one collective write per batch), bounding the cached-output memory.
   /// 0 = a single flush at the end (the default, maximum aggregation).
   std::uint32_t query_batch = 0;
-  /// MPI-IO-style access hints (pario/env.h): cb_nodes / cb_buffer_size
-  /// tune the two-phase collectives (output, and input when
-  /// collective_input is on); the ds_* / list knobs shape the independent
-  /// fragment-range reads. The CLI's --pario-hints flag.
-  pario::Hints hints{};
-  /// Fault injections (crashes, stragglers, drops); inert by default. An
-  /// active plan switches the run into its fault-tolerant paths: with the
-  /// greedy scheduler a lost worker's ranges are reassigned; collective
-  /// I/O falls back to independent transfers for the survivors. See
-  /// mpisim/fault.h and the CLI's --fault flag.
-  mpisim::FaultPlan faults;
-  /// mpicheck hooks (mpisim/hooks.h; either may be null, neither owned):
-  /// a deterministic schedule chooser and a happens-before race
-  /// detector. Set by the CLI's --check/--schedule modes and by tests.
-  mpisim::ScheduleHook* schedule = nullptr;
-  mpisim::RaceHook* race = nullptr;
-  /// Provenance label only (mpisim/exec.h): every run uses the fiber
-  /// event loop.
-  static constexpr mpisim::ExecModel exec = mpisim::ExecModel::kEvents;
-  /// Search-kernel implementation (blast/engine.h). Both kernels produce
-  /// bit-identical output and virtual time; the CLI's --kernel flag.
-  blast::KernelKind kernel = blast::KernelKind::kFast;
 };
 
 /// Runs pioBLAST with `nprocs` simulated processes (1 master + workers)

@@ -153,7 +153,7 @@ TEST(DriverTracing, MpiRunCapturesFetchTraffic) {
   }
   // One fetch per reported alignment plus one end-of-query sentinel per
   // worker per query.
-  EXPECT_GE(fetch_requests, result.alignments_reported);
+  EXPECT_GE(fetch_requests, result.metrics.at("alignments_reported"));
 }
 
 }  // namespace

@@ -110,8 +110,9 @@ TEST_P(DriverEquivalence, IdenticalOutputAcrossProcessCounts) {
   const auto b = storage.shared().read_all("out.pio.txt");
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
-  EXPECT_EQ(mpi.output_bytes, pio.output_bytes);
-  EXPECT_EQ(mpi.alignments_reported, pio.alignments_reported);
+  EXPECT_EQ(mpi.metrics.at("output_bytes"), pio.metrics.at("output_bytes"));
+  EXPECT_EQ(mpi.metrics.at("alignments_reported"),
+            pio.metrics.at("alignments_reported"));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -180,7 +181,8 @@ TEST(Drivers, EarlyScoreBroadcastPreservesOutput) {
   const auto pruned = run_pio(cluster, nprocs, storage, w, opts);
   EXPECT_EQ(storage.shared().read_all("out.pio.txt"), baseline);
   // Pruning can only shrink what the master screens.
-  EXPECT_LE(pruned.candidates_merged, plain.candidates_merged);
+  EXPECT_LE(pruned.metrics.at("candidates_merged"),
+            plain.metrics.at("candidates_merged"));
 }
 
 TEST(Drivers, DynamicSchedulingPreservesOutput) {
@@ -460,7 +462,7 @@ TEST(Drivers, SlowNodesSlowTheJob) {
   const auto b = run_pio(slow_cluster, 4, s2, w);
   EXPECT_GT(b.phases.total, a.phases.total * 1.5);
   // Output bytes are unaffected by node speed.
-  EXPECT_EQ(a.output_bytes, b.output_bytes);
+  EXPECT_EQ(a.metrics.at("output_bytes"), b.metrics.at("output_bytes"));
 }
 
 TEST(Drivers, CandidateVolumeMatchesBetweenDrivers) {
@@ -472,7 +474,8 @@ TEST(Drivers, CandidateVolumeMatchesBetweenDrivers) {
   stage_queries(storage, w);
   const auto mpi = run_mpi(cluster, nprocs, storage, w, nprocs - 1);
   const auto pio = run_pio(cluster, nprocs, storage, w);
-  EXPECT_EQ(mpi.candidates_merged, pio.candidates_merged);
+  EXPECT_EQ(mpi.metrics.at("candidates_merged"),
+            pio.metrics.at("candidates_merged"));
 }
 
 }  // namespace

@@ -16,16 +16,19 @@
 // exploration finds a failing schedule, or on an internal error; 2 for bad
 // user input (the message names the offending flag and value); 3 when the
 // protocol verifier or the --conformance monitor rejects the run.
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string_view>
 
 #include "blast/job.h"
 #include "driver/metrics.h"
+#include "driver/run_config.h"
 #include "driver/scheduler.h"
 #include "mpiblast/mpiblast.h"
 #include "mpicheck/explore.h"
@@ -75,9 +78,21 @@ auto parse_flag(const util::ArgParser& args, const std::string& flag,
   }
 }
 
-std::int64_t int_flag(const util::ArgParser& args, const std::string& flag) {
-  return parse_flag(args, flag,
-                    [&](const std::string&) { return args.get_int(flag); });
+/// The integer value of --flag as a T; a value below `min` or outside T is
+/// a UsageError.
+template <typename T = std::int64_t>
+T int_flag(const util::ArgParser& args, const std::string& flag,
+           T min = std::numeric_limits<T>::min()) {
+  const std::int64_t value = parse_flag(
+      args, flag, [&](const std::string&) { return args.get_int(flag); });
+  if (value < min)
+    throw UsageError(flag, args.get(flag),
+                     "must be at least " + std::to_string(min));
+  if (value > std::numeric_limits<T>::max())
+    throw UsageError(flag, args.get(flag),
+                     "must be at most " +
+                         std::to_string(std::numeric_limits<T>::max()));
+  return static_cast<T>(value);
 }
 
 /// Checks --flag's value is one of `choices`.
@@ -106,7 +121,8 @@ void print_metrics(const char* name, const blast::DriverResult& r) {
 }
 
 /// Parses the --check spec ("schedules=50,seed=1,preempt=2,dpor=on,
-/// races=on,shrink=on,max=2000"; every field optional).
+/// races=on,shrink=on,max=2000"; every field optional). A bad field is
+/// reported by key with the expected form.
 mpicheck::CheckOptions parse_check(const std::string& spec) {
   mpicheck::CheckOptions opts;
   std::istringstream in(spec);
@@ -119,33 +135,60 @@ mpicheck::CheckOptions parse_check(const std::string& spec) {
                                "' (want key=value)");
     const std::string key = field.substr(0, eq);
     const std::string val = field.substr(eq + 1);
-    if (key == "schedules") opts.random_schedules = std::stoi(val);
-    else if (key == "seed") opts.seed = std::stoull(val);
-    else if (key == "preempt") opts.preemption_bound = std::stoi(val);
-    else if (key == "dpor") opts.dpor = val != "off";
-    else if (key == "races") opts.detect_races = val != "off";
-    else if (key == "shrink") opts.shrink = val != "off";
-    else if (key == "max") opts.max_schedules = std::stoi(val);
+    // A value of min's type, at least min.
+    const auto number = [&](auto min) {
+      decltype(min) v{};
+      const auto [end, ec] =
+          std::from_chars(val.data(), val.data() + val.size(), v);
+      if (ec != std::errc() || end != val.data() + val.size() || v < min)
+        throw util::RuntimeError(key + ": expected an integer >= " +
+                                 std::to_string(min) + ", got '" + val + "'");
+      return v;
+    };
+    const auto on_off = [&] {
+      if (val != "on" && val != "off")
+        throw util::RuntimeError(key + ": expected on | off, got '" + val +
+                                 "'");
+      return val == "on";
+    };
+    if (key == "schedules") opts.random_schedules = number(0);
+    else if (key == "seed") opts.seed = number(std::uint64_t{0});
+    else if (key == "preempt") opts.preemption_bound = number(-1);  // -1: off
+    else if (key == "dpor") opts.dpor = on_off();
+    else if (key == "races") opts.detect_races = on_off();
+    else if (key == "shrink") opts.shrink = on_off();
+    else if (key == "max") opts.max_schedules = number(0);
     else
       throw util::RuntimeError("unknown key '" + key + "'");
   }
   return opts;
 }
 
-/// Explores (or replays) `drive` under mpicheck and prints the CHECK
-/// metrics line. Returns false when a failing schedule was found.
-bool run_checked(
-    const char* name, const mpicheck::CheckOptions& check,
-    const std::function<void(mpisim::ScheduleHook*, mpisim::RaceHook*)>&
-        drive) {
-  mpicheck::Checker checker(drive, check);
+/// Runs one driver: once, or — given `check` (--check/--schedule) — under
+/// mpicheck, which sets the schedule and race hooks on `opts` for every
+/// explored schedule and prints the CHECK line. Returns nothing when
+/// exploration found a failing schedule.
+template <typename Options, typename Run>
+std::optional<blast::DriverResult> run_driver(
+    const char* name, Options opts,
+    const std::optional<mpicheck::CheckOptions>& check, Run&& run) {
+  if (!check) return run(opts);
+  blast::DriverResult result;
+  mpicheck::Checker checker(
+      [&](mpisim::ScheduleHook* schedule, mpisim::RaceHook* race) {
+        opts.schedule = schedule;
+        opts.race = race;
+        result = run(opts);
+      },
+      *check);
   const mpicheck::CheckResult res = checker.run();
   std::printf("%s driver=%s\n", mpicheck::summary(res).c_str(), name);
   if (res.failed) {
     std::printf("%s\nreplay with: --schedule %s\n", res.error.c_str(),
                 res.failing_trace.c_str());
+    return std::nullopt;
   }
-  return !res.failed;
+  return result;
 }
 
 void report(const char* name, const blast::DriverResult& r) {
@@ -157,9 +200,11 @@ void report(const char* name, const blast::DriverResult& r) {
                  util::format_percent(r.phases.search_fraction())});
   table.print(std::cout);
   std::printf("alignments: %llu, output: %s, candidates screened: %llu\n\n",
-              static_cast<unsigned long long>(r.alignments_reported),
-              util::format_bytes(r.output_bytes).c_str(),
-              static_cast<unsigned long long>(r.candidates_merged));
+              static_cast<unsigned long long>(
+                  r.metrics.at("alignments_reported")),
+              util::format_bytes(r.metrics.at("output_bytes")).c_str(),
+              static_cast<unsigned long long>(
+                  r.metrics.at("candidates_merged")));
   if (!r.conformance.empty()) std::printf("%s\n\n", r.conformance.c_str());
 }
 
@@ -221,59 +266,68 @@ int run_cli(int argc, char** argv) {
   expect_choice(args, "driver", {"pioblast", "mpiblast", "both"});
   expect_choice(args, "cluster", {"altix", "blade"});
   expect_choice(args, "type", {"protein", "dna"});
+  expect_choice(args, "verify", {"on", "off"});
   const seqdb::SeqType type = args.get("type") == "dna"
                                   ? seqdb::SeqType::kNucleotide
                                   : seqdb::SeqType::kProtein;
-  const int nprocs = static_cast<int>(int_flag(args, "procs"));
+  const int nprocs = int_flag<int>(args, "procs");
   if (nprocs < 2)
     throw UsageError("procs", args.get("procs"),
                      "need at least 2 processes (1 master + workers)");
   const auto cluster = args.get("cluster") == "blade"
                            ? sim::ClusterConfig::ncsu_blade()
                            : sim::ClusterConfig::ornl_altix();
-  const bool conformance = args.get_flag("conformance");
-  if (conformance && nprocs > protospec::Env::kMaxRanks)
-    throw UsageError("procs", args.get("procs"),
-                     "--conformance supports at most " +
-                         std::to_string(protospec::Env::kMaxRanks) +
-                         " processes");
   const auto seed = static_cast<std::uint64_t>(int_flag(args, "seed"));
-  const int hitlist = static_cast<int>(int_flag(args, "hitlist"));
-  const int nfragments_flag = static_cast<int>(int_flag(args, "fragments"));
+  const auto db_residues = int_flag<std::int64_t>(args, "db-residues", 1);
+  const auto query_bytes = int_flag<std::int64_t>(args, "query-bytes", 0);
+  const int hitlist = int_flag(args, "hitlist", 1);
+  const int nfragments_flag = int_flag(args, "fragments", 0);
   const double evalue = parse_flag(
       args, "evalue", [&](const std::string&) { return args.get_double("evalue"); });
-  const blast::KernelKind kernel = parse_flag(
-      args, "kernel", [](const std::string& v) { return blast::parse_kernel(v); });
+  if (!(evalue > 0))
+    throw UsageError("evalue", args.get("evalue"), "must be greater than 0");
   std::optional<driver::SchedulerKind> scheduler;
   if (!args.get("scheduler").empty())
     scheduler = parse_flag(args, "scheduler", [](const std::string& v) {
       return driver::parse_scheduler(v);
     });
-  mpisim::FaultPlan faults;
+
+  // Everything about the run both drivers share.
+  driver::RunConfig run;
+  run.verify = args.get("verify") == "on";
+  run.conformance = args.get_flag("conformance");
+  if (run.conformance && nprocs > protospec::Env::kMaxRanks)
+    throw UsageError("procs", args.get("procs"),
+                     "--conformance supports at most " +
+                         std::to_string(protospec::Env::kMaxRanks) +
+                         " processes");
+  run.kernel = parse_flag(
+      args, "kernel", [](const std::string& v) { return blast::parse_kernel(v); });
   if (!args.get("fault").empty()) {
-    faults = parse_flag(args, "fault", [](const std::string& v) {
+    run.faults = parse_flag(args, "fault", [](const std::string& v) {
       return mpisim::FaultPlan::parse(v);
     });
     parse_flag(args, "fault",
-               [&](const std::string&) { faults.validate(nprocs); });
+               [&](const std::string&) { run.faults.validate(nprocs); });
   }
-  pario::Hints hints;
   if (!args.get("pario-hints").empty())
-    hints = parse_flag(args, "pario-hints", [](const std::string& v) {
+    run.hints = parse_flag(args, "pario-hints", [](const std::string& v) {
       return pario::Hints::parse(v);
     });
+  mpisim::Tracer tracer;
+  if (args.get_flag("trace")) run.tracer = &tracer;
 
   // --check explores many schedules; --schedule replays exactly one.
-  const bool checking =
-      !args.get("check").empty() || !args.get("schedule").empty();
-  mpicheck::CheckOptions check_opts;
+  std::optional<mpicheck::CheckOptions> check;
+  if (!args.get("check").empty() || !args.get("schedule").empty())
+    check.emplace();
   if (!args.get("check").empty() && args.get("check") != "default")
-    check_opts = parse_flag(args, "check", parse_check);
+    check = parse_flag(args, "check", parse_check);
   if (!args.get("schedule").empty()) {
     parse_flag(args, "schedule", [](const std::string& v) {
       (void)mpicheck::parse_schedule(v);
     });
-    check_opts.replay_trace = args.get("schedule");
+    check->replay_trace = args.get("schedule");
   }
 
   // --- data ----------------------------------------------------------------
@@ -285,24 +339,28 @@ int run_cli(int argc, char** argv) {
   } else {
     seqdb::GeneratorConfig gen;
     gen.type = type;
-    gen.target_residues =
-        static_cast<std::uint64_t>(int_flag(args, "db-residues"));
+    gen.target_residues = static_cast<std::uint64_t>(db_residues);
     gen.seed = seed;
     gen.family_fraction = 0.6;
     db = seqdb::generate_database(gen);
   }
-  std::string query_fasta;
-  if (!args.get("queries-fasta").empty()) {
-    query_fasta = parse_flag(args, "queries-fasta", read_file);
-    // Reject a malformed query set here rather than inside the run.
-    parse_flag(args, "queries-fasta", [&](const std::string&) {
-      (void)seqdb::parse_fasta(query_fasta);
-    });
-  } else {
-    query_fasta = seqdb::write_fasta(seqdb::sample_queries(
-        db, static_cast<std::uint64_t>(int_flag(args, "query-bytes")),
-        seed + 1));
-  }
+  if (db.empty())
+    throw UsageError("db-fasta", args.get("db-fasta"), "no sequences");
+  if (static_cast<std::uint64_t>(nfragments_flag) > db.size())
+    throw UsageError("fragments", args.get("fragments"),
+                     "more than the database's " + std::to_string(db.size()) +
+                         " sequences");
+  const bool query_file = !args.get("queries-fasta").empty();
+  const std::string query_flag = query_file ? "queries-fasta" : "query-bytes";
+  const std::string query_fasta =
+      query_file ? parse_flag(args, query_flag, read_file)
+                 : seqdb::write_fasta(seqdb::sample_queries(
+                       db, static_cast<std::uint64_t>(query_bytes), seed + 1));
+  // Reject a malformed or empty query set here rather than inside the run.
+  parse_flag(args, query_flag, [&](const std::string&) {
+    if (seqdb::parse_fasta(query_fasta).empty())
+      throw util::RuntimeError("empty query set");
+  });
   std::printf("database: %zu sequences; query set: %zu bytes; cluster: %s; "
               "%d processes\n\n",
               db.size(), query_fasta.size(), cluster.name.c_str(), nprocs);
@@ -325,13 +383,10 @@ int run_cli(int argc, char** argv) {
   job.nfragments = nfragments_flag;
 
   const std::string driver = args.get("driver");
-  const bool verify = args.get("verify") != "off";
   if (!args.get("fault").empty())
-    std::printf("fault plan: %s\n\n", faults.describe().c_str());
+    std::printf("fault plan: %s\n\n", run.faults.describe().c_str());
   if (!args.get("pario-hints").empty())
-    std::printf("pario hints: %s\n\n", hints.describe().c_str());
-  mpisim::Tracer tracer;
-  mpisim::Tracer* trace_ptr = args.get_flag("trace") ? &tracer : nullptr;
+    std::printf("pario hints: %s\n\n", run.hints.describe().c_str());
 
   std::vector<std::uint8_t> mpi_out, pio_out;
   if (driver == "mpiblast" || driver == "both") {
@@ -340,66 +395,40 @@ int run_cli(int argc, char** argv) {
                                           job.params.type, job.db_title,
                                           nfragments);
     mpiblast::MpiBlastOptions opts;
+    static_cast<driver::RunConfig&>(opts) = run;
     opts.job = job;
-    opts.tracer = trace_ptr;
-    opts.verify = verify;
-    opts.conformance = conformance;
     opts.job.output_path = "out.mpiblast.txt";
     opts.fragment_bases = parts.fragment_bases;
     opts.fragment_ranges = parts.ranges;
     opts.global_index = parts.global_index;
-    opts.hints = hints;
-    opts.faults = faults;
-    opts.kernel = kernel;
     if (scheduler) opts.scheduler = *scheduler;
-    blast::DriverResult result;
-    if (checking) {
-      const bool ok = run_checked(
-          "mpiblast", check_opts,
-          [&](mpisim::ScheduleHook* s, mpisim::RaceHook* r) {
-            mpiblast::MpiBlastOptions o = opts;
-            o.schedule = s;
-            o.race = r;
-            result = mpiblast::run_mpiblast(cluster, nprocs, storage, o);
-          });
-      if (!ok) return 1;
-    } else {
-      result = mpiblast::run_mpiblast(cluster, nprocs, storage, opts);
-    }
-    report("mpiBLAST", result);
-    if (args.get_flag("metrics")) print_metrics("mpiblast", result);
+    const auto result = run_driver(
+        "mpiblast", std::move(opts), check,
+        [&](const mpiblast::MpiBlastOptions& o) {
+          return mpiblast::run_mpiblast(cluster, nprocs, storage, o);
+        });
+    if (!result) return 1;
+    report("mpiBLAST", *result);
+    if (args.get_flag("metrics")) print_metrics("mpiblast", *result);
     mpi_out = storage.shared().read_all("out.mpiblast.txt");
   }
   if (driver == "pioblast" || driver == "both") {
     seqdb::format_db(storage.shared(), db, job.db_base, job.params.type,
                      job.db_title);
     pio::PioBlastOptions opts;
+    static_cast<driver::RunConfig&>(opts) = run;
     opts.job = job;
-    opts.tracer = trace_ptr;
-    opts.verify = verify;
-    opts.conformance = conformance;
     opts.job.output_path = "out.pioblast.txt";
     opts.early_score_broadcast = args.get_flag("early-score-broadcast");
-    opts.hints = hints;
-    opts.faults = faults;
-    opts.kernel = kernel;
     if (scheduler) opts.scheduler = *scheduler;
-    blast::DriverResult result;
-    if (checking) {
-      const bool ok = run_checked(
-          "pioblast", check_opts,
-          [&](mpisim::ScheduleHook* s, mpisim::RaceHook* r) {
-            pio::PioBlastOptions o = opts;
-            o.schedule = s;
-            o.race = r;
-            result = pio::run_pioblast(cluster, nprocs, storage, o);
-          });
-      if (!ok) return 1;
-    } else {
-      result = pio::run_pioblast(cluster, nprocs, storage, opts);
-    }
-    report("pioBLAST", result);
-    if (args.get_flag("metrics")) print_metrics("pioblast", result);
+    const auto result = run_driver(
+        "pioblast", std::move(opts), check,
+        [&](const pio::PioBlastOptions& o) {
+          return pio::run_pioblast(cluster, nprocs, storage, o);
+        });
+    if (!result) return 1;
+    report("pioBLAST", *result);
+    if (args.get_flag("metrics")) print_metrics("pioblast", *result);
     pio_out = storage.shared().read_all("out.pioblast.txt");
   }
 
@@ -408,7 +437,7 @@ int run_cli(int argc, char** argv) {
     if (mpi_out != pio_out) return 1;
   }
 
-  if (trace_ptr != nullptr) {
+  if (run.tracer != nullptr) {
     std::printf("--- event timeline (first 60 events of %zu) ---\n",
                 tracer.size());
     tracer.render(std::cout, 60);
