@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "driver/metrics.h"
+#include "driver/tags.h"
 #include "mpisim/fault.h"
 #include "mpisim/trace.h"
 #include "pario/env.h"
@@ -91,8 +92,8 @@ std::uint64_t nth_work_request_event(const mpisim::Tracer& tracer, int rank,
       continue;
     }
     ++events;
-    if (e.kind == mpisim::TraceKind::kSend &&
-        e.detail.find("tag=1 b") != std::string::npos && ++requests == nth) {
+    if (e.kind == mpisim::TraceKind::kSend && e.tag == driver::kTagWorkReq &&
+        ++requests == nth) {
       return events;
     }
   }

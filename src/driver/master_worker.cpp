@@ -29,9 +29,9 @@ MasterWorkerApp::MasterWorkerApp(const sim::ClusterConfig& cluster, int nprocs,
   PIOBLAST_CHECK(queries_ != nullptr);
 }
 
-const mpisim::Tracer& MasterWorkerApp::trace() const {
+std::vector<mpisim::TraceEvent> MasterWorkerApp::trace() const {
   PIOBLAST_CHECK_MSG(tracer_ != nullptr, "run was not traced");
-  return *tracer_;
+  return tracer_->sorted(trace_begin_);
 }
 
 void MasterWorkerApp::init_stage(mpisim::Process& p) {
@@ -64,6 +64,9 @@ void MasterWorkerApp::worker(mpisim::Process&) {
 blast::DriverResult MasterWorkerApp::run() {
   mpisim::RunOptions opts;
   opts.tracer = tracer_;
+  // A caller's tracer may already hold other runs' events; this run's
+  // are the ones recorded from here on.
+  if (tracer_ != nullptr) trace_begin_ = tracer_->size();
   opts.verify.enabled = config_.verify;
   opts.faults = config_.faults;
   opts.schedule = config_.schedule;
@@ -93,7 +96,8 @@ blast::DriverResult MasterWorkerApp::run() {
         // counting, so the snapshot is complete.
         if (tracer_ != nullptr && p.is_root()) {
           for (const auto& [name, value] : metrics_.snapshot())
-            p.mark("metric " + name + "=" + std::to_string(value));
+            p.trace(mpisim::TraceKind::kMark,
+                    "metric " + name + "=" + std::to_string(value));
         }
       },
       opts);

@@ -12,8 +12,10 @@
 // collective ordering in one place).
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "blast/driver.h"
 #include "blast/job.h"
@@ -46,10 +48,11 @@ class MasterWorkerApp {
   /// metrics, and returns the DriverResult (metrics snapshot included).
   blast::DriverResult run();
 
-  /// The run's event trace: the caller's tracer, or the one the app
-  /// records itself when conformance is on and the caller gave none.
+  /// The events the last run() recorded, time-ordered: from the caller's
+  /// tracer (which may also hold other runs' events), or from the one the
+  /// app records itself when conformance is on and the caller gave none.
   /// Only valid when either exists.
-  const mpisim::Tracer& trace() const;
+  std::vector<mpisim::TraceEvent> trace() const;
 
  protected:
   /// Driver protocol. The default dispatches to master()/worker();
@@ -83,6 +86,7 @@ class MasterWorkerApp {
   /// did not ask for a trace.
   mpisim::Tracer own_trace_;
   mpisim::Tracer* tracer_;
+  std::size_t trace_begin_ = 0;  ///< tracer_->size() when run() started
   WorkerTopology topology_;
   RunMetrics metrics_;
 };

@@ -262,7 +262,7 @@ blast::DriverResult run_mpiblast(const sim::ClusterConfig& cluster, int nprocs,
     sp.fetch_cap = -1;  // per-query fetch count is data-dependent
     sp.fault_tolerant = opts.faults.active();
     result.conformance = protospec::enforce_conformance(
-        *protospec::spec_by_name("mpiblast"), sp, app.trace().sorted());
+        *protospec::spec_by_name("mpiblast"), sp, app.trace());
   }
   return result;
 }

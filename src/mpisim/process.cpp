@@ -66,17 +66,14 @@ void Process::set_phase(const std::string& name) {
   accrue_phase();
   current_phase_ = name;
   if (Tracer* t = world_.tracer())
-    t->record(rank_, clock_.now(), TraceKind::kPhase, name);
+    t->record({.rank = rank_, .time = clock_.now(), .kind = TraceKind::kPhase,
+               .text = name});
 }
 
-void Process::mark(const std::string& detail) {
+void Process::trace(TraceKind kind, std::string text) {
   if (Tracer* t = world_.tracer())
-    t->record(rank_, clock_.now(), TraceKind::kMark, detail);
-}
-
-void Process::trace(TraceKind kind, std::string detail) {
-  if (Tracer* t = world_.tracer())
-    t->record(rank_, clock_.now(), kind, std::move(detail));
+    t->record({.rank = rank_, .time = clock_.now(), .kind = kind,
+               .text = std::move(text)});
 }
 
 util::PhaseTimer& Process::phases() {
@@ -99,16 +96,13 @@ void Process::send(int dst, int tag, std::span<const std::uint8_t> data,
   bytes_sent_ += data.size();
   ++messages_sent_;
   if (Tracer* t = world_.tracer()) {
-    if (dropped) {
-      t->record(rank_, clock_.now(), TraceKind::kFault,
-                "drop send #" + std::to_string(send_seq_) + " dst=" +
-                    std::to_string(dst) + " tag=" + std::to_string(tag) +
-                    " bytes=" + std::to_string(data.size()));
-    } else {
-      t->record(rank_, clock_.now(), TraceKind::kSend,
-                "dst=" + std::to_string(dst) + " tag=" + std::to_string(tag) +
-                    " bytes=" + std::to_string(data.size()));
-    }
+    t->record({.rank = rank_,
+               .time = clock_.now(),
+               .kind = dropped ? TraceKind::kDrop : TraceKind::kSend,
+               .peer = dst,
+               .tag = tag,
+               .bytes = data.size(),
+               .seq = send_seq_});
   }
   // The happens-before token is issued even for dropped sends (the send
   // itself still happened on this rank's timeline) but only a delivered
@@ -135,11 +129,7 @@ Message Process::recv(int src, int tag) {
     r->on_recv(rank_, msg.hb);
   clock_.advance_to(msg.arrival);
   clock_.advance(cluster().network.recv_cost(msg.size()));
-  if (Tracer* t = world_.tracer()) {
-    t->record(rank_, clock_.now(), TraceKind::kRecv,
-              "src=" + std::to_string(msg.src) + " tag=" + std::to_string(tag) +
-                  " bytes=" + std::to_string(msg.size()));
-  }
+  trace_recv(msg);
   return msg;
 }
 
@@ -155,13 +145,19 @@ Message Process::recv_any_of(std::span<const int> tags) {
     r->on_recv(rank_, msg.hb);
   clock_.advance_to(msg.arrival);
   clock_.advance(cluster().network.recv_cost(msg.size()));
-  if (Tracer* t = world_.tracer()) {
-    t->record(rank_, clock_.now(), TraceKind::kRecv,
-              "src=" + std::to_string(msg.src) + " tag=" +
-                  std::to_string(msg.tag) + " bytes=" +
-                  std::to_string(msg.size()));
-  }
+  trace_recv(msg);
   return msg;
+}
+
+void Process::trace_recv(const Message& msg) {
+  if (Tracer* t = world_.tracer()) {
+    t->record({.rank = rank_,
+               .time = clock_.now(),
+               .kind = TraceKind::kRecv,
+               .peer = msg.src,
+               .tag = msg.tag,
+               .bytes = msg.size()});
+  }
 }
 
 std::size_t Process::drain(int tag) {
@@ -194,9 +190,12 @@ void Process::enter_collective(const char* op, int root) {
   yield_point(YieldPoint::Kind::kCollective, root, 0, op);
   const std::uint64_t seq = collectives_entered_++;
   if (Tracer* t = world_.tracer()) {
-    t->record(rank_, clock_.now(), TraceKind::kCollective,
-              std::string(op) + " root=" + std::to_string(root) +
-                  " seq=" + std::to_string(seq));
+    t->record({.rank = rank_,
+               .time = clock_.now(),
+               .kind = TraceKind::kCollective,
+               .op = op,
+               .root = root,
+               .seq = seq});
   }
   if (ProtocolVerifier* v = world_.verifier()) v->on_collective(rank_, op, root);
 }

@@ -81,13 +81,9 @@ class Process {
   /// Attributes subsequent virtual time to phase `name` until the next call.
   void set_phase(const std::string& name);
 
-  /// Records a driver-defined annotation in the attached tracer (no-op
-  /// when tracing is off).
-  void mark(const std::string& detail);
-
-  /// Records an event of arbitrary kind in the attached tracer (drivers
-  /// use this for kFault / kRecovery annotations).
-  void trace(TraceKind kind, std::string detail);
+  /// Records a free-text event (kMark, kRecovery, ...) in the attached
+  /// tracer; a no-op when tracing is off.
+  void trace(TraceKind kind, std::string text);
 
   /// Flushes pending time into the current phase and returns the buckets.
   util::PhaseTimer& phases();
@@ -212,6 +208,9 @@ class Process {
   static constexpr int kTagReduce = kInternalTagBase + 4;
 
   void accrue_phase();
+
+  /// Records a consumed message in the attached tracer, if any.
+  void trace_recv(const Message& msg);
 
   /// Counts one communication event and throws RankCrash when this rank's
   /// scheduled crash point is reached. Called on entry to send and recv.

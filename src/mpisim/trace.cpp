@@ -1,9 +1,7 @@
 #include "mpisim/trace.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 
 namespace pioblast::mpisim {
@@ -16,17 +14,14 @@ const char* to_string(TraceKind kind) {
       return "SEND";
     case TraceKind::kRecv:
       return "RECV";
-    case TraceKind::kCompute:
-      return "COMP";
-    case TraceKind::kIo:
-      return "IO";
     case TraceKind::kMark:
       return "MARK";
     case TraceKind::kCollective:
       return "COLL";
     case TraceKind::kVerify:
       return "VRFY";
-    case TraceKind::kFault:
+    case TraceKind::kDrop:
+    case TraceKind::kCrash:
       return "FAULT";
     case TraceKind::kRecovery:
       return "RECOV";
@@ -34,16 +29,47 @@ const char* to_string(TraceKind kind) {
   return "?";
 }
 
-void Tracer::record(int rank, sim::Time time, TraceKind kind, std::string detail) {
-  std::lock_guard lock(mu_);
-  events_.push_back({rank, time, kind, std::move(detail)});
+std::string format_detail(const TraceEvent& e) {
+  char buf[128];
+  const auto bytes = static_cast<unsigned long long>(e.bytes);
+  const auto seq = static_cast<unsigned long long>(e.seq);
+  switch (e.kind) {
+    case TraceKind::kSend:
+      std::snprintf(buf, sizeof buf, "dst=%d tag=%d bytes=%llu", e.peer, e.tag,
+                    bytes);
+      return buf;
+    case TraceKind::kRecv:
+      std::snprintf(buf, sizeof buf, "src=%d tag=%d bytes=%llu", e.peer, e.tag,
+                    bytes);
+      return buf;
+    case TraceKind::kDrop:
+      std::snprintf(buf, sizeof buf, "drop send #%llu dst=%d tag=%d bytes=%llu",
+                    seq, e.peer, e.tag, bytes);
+      return buf;
+    case TraceKind::kCrash:
+      std::snprintf(buf, sizeof buf, "rank %d crashed", e.rank);
+      return buf;
+    case TraceKind::kCollective:
+      std::snprintf(buf, sizeof buf, "%s root=%d seq=%llu",
+                    e.op == nullptr ? "?" : e.op, e.root, seq);
+      return buf;
+    default:
+      return e.text;
+  }
 }
 
-std::vector<TraceEvent> Tracer::sorted() const {
+void Tracer::record(TraceEvent event) {
+  std::lock_guard lock(mu_);
+  events_.push_back(std::move(event));
+}
+
+std::vector<TraceEvent> Tracer::sorted(std::size_t from) const {
   std::vector<TraceEvent> out;
   {
     std::lock_guard lock(mu_);
-    out = events_;
+    from = std::min(from, events_.size());
+    out.assign(events_.begin() + static_cast<std::ptrdiff_t>(from),
+               events_.end());
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
@@ -58,6 +84,11 @@ std::size_t Tracer::size() const {
   return events_.size();
 }
 
+void Tracer::clear() {
+  std::lock_guard lock(mu_);
+  events_.clear();
+}
+
 void Tracer::render(std::ostream& os, std::size_t max_events) const {
   const auto events = sorted();
   char buf[64];
@@ -69,7 +100,7 @@ void Tracer::render(std::ostream& os, std::size_t max_events) const {
     }
     std::snprintf(buf, sizeof buf, "[%12.6fs] r%-3d %-5s ", e.time, e.rank,
                   to_string(e.kind));
-    os << buf << e.detail << '\n';
+    os << buf << format_detail(e) << '\n';
   }
 }
 
@@ -78,96 +109,6 @@ std::vector<TraceEvent> Tracer::for_rank(int rank) const {
   for (const TraceEvent& e : sorted())
     if (e.rank == rank) out.push_back(e);
   return out;
-}
-
-namespace {
-
-// Reads "<key>=<number>" starting at `pos` in `s`; advances past it.
-bool scan_kv(const std::string& s, std::size_t& pos, const char* key,
-             long long& value) {
-  const std::string want = std::string(key) + "=";
-  const std::size_t at = s.find(want, pos);
-  if (at == std::string::npos) return false;
-  std::size_t end = at + want.size();
-  errno = 0;
-  char* after = nullptr;
-  value = std::strtoll(s.c_str() + end, &after, 10);
-  if (after == s.c_str() + end || errno != 0) return false;
-  pos = static_cast<std::size_t>(after - s.c_str());
-  return true;
-}
-
-}  // namespace
-
-bool parse_trace_event(const TraceEvent& event, ParsedEvent& out) {
-  out = ParsedEvent{};
-  out.kind = event.kind;
-  out.rank = event.rank;
-  out.time = event.time;
-  const std::string& d = event.detail;
-  long long v = 0;
-  std::size_t pos = 0;
-  switch (event.kind) {
-    case TraceKind::kSend:
-    case TraceKind::kRecv: {
-      const char* peer_key = event.kind == TraceKind::kSend ? "dst" : "src";
-      if (!scan_kv(d, pos, peer_key, v)) return false;
-      out.peer = static_cast<int>(v);
-      if (!scan_kv(d, pos, "tag", v)) return false;
-      out.tag = static_cast<int>(v);
-      if (!scan_kv(d, pos, "bytes", v)) return false;
-      out.bytes = static_cast<std::uint64_t>(v);
-      return true;
-    }
-    case TraceKind::kCollective: {
-      const std::size_t sp = d.find(' ');
-      if (sp == std::string::npos) return false;
-      out.op = d.substr(0, sp);
-      if (!scan_kv(d, pos, "root", v)) return false;
-      out.root = static_cast<int>(v);
-      return true;
-    }
-    case TraceKind::kFault: {
-      if (d.rfind("drop send", 0) == 0) {
-        out.drop = true;
-        if (!scan_kv(d, pos, "dst", v)) return false;
-        out.peer = static_cast<int>(v);
-        if (!scan_kv(d, pos, "tag", v)) return false;
-        out.tag = static_cast<int>(v);
-        if (!scan_kv(d, pos, "bytes", v)) return false;
-        out.bytes = static_cast<std::uint64_t>(v);
-        return true;
-      }
-      if (d.rfind("rank ", 0) == 0 &&
-          d.find(" crashed") != std::string::npos) {
-        errno = 0;
-        char* after = nullptr;
-        v = std::strtoll(d.c_str() + 5, &after, 10);
-        if (after == d.c_str() + 5 || errno != 0) return false;
-        out.crashed_rank = static_cast<int>(v);
-        return true;
-      }
-      return false;
-    }
-    default:
-      return true;  // no structured payload for this kind
-  }
-}
-
-sim::Time Tracer::span() const {
-  sim::Time lo = 0, hi = 0;
-  bool first = true;
-  std::lock_guard lock(mu_);
-  for (const TraceEvent& e : events_) {
-    if (first) {
-      lo = hi = e.time;
-      first = false;
-    } else {
-      lo = std::min(lo, e.time);
-      hi = std::max(hi, e.time);
-    }
-  }
-  return hi - lo;
 }
 
 }  // namespace pioblast::mpisim

@@ -154,7 +154,8 @@ std::string ProtocolVerifier::deadlock_report_locked() const {
 
 void ProtocolVerifier::flag_locked(const std::string& report) {
   disabled_ = true;  // one report per job; unwinding must not re-trigger
-  if (tracer_ != nullptr) tracer_->record(0, 0.0, TraceKind::kVerify, report);
+  if (tracer_ != nullptr)
+    tracer_->record({.kind = TraceKind::kVerify, .text = report});
   for (Mailbox* mb : mailboxes_) mb->poison(report, /*verify_failure=*/true);
 }
 
@@ -279,7 +280,8 @@ void ProtocolVerifier::check_leaks() {
        << " left undrained at job end (sent but never received):\n"
        << os.str();
   const std::string report = head.str();
-  if (tracer_ != nullptr) tracer_->record(0, 0.0, TraceKind::kVerify, report);
+  if (tracer_ != nullptr)
+    tracer_->record({.kind = TraceKind::kVerify, .text = report});
   throw VerifyError(report);
 }
 

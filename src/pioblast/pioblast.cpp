@@ -471,7 +471,7 @@ blast::DriverResult run_pioblast(const sim::ClusterConfig& cluster, int nprocs,
     sp.dynamic = kind == driver::SchedulerKind::kGreedyDynamic;
     sp.early_score = opts.early_score_broadcast;
     result.conformance = protospec::enforce_conformance(
-        *protospec::spec_by_name("pioblast"), sp, app.trace().sorted());
+        *protospec::spec_by_name("pioblast"), sp, app.trace());
   }
   return result;
 }

@@ -85,7 +85,7 @@ class Monitor {
   /// available.
   std::vector<Config> step(const Role& role, int self,
                            const std::vector<Config>& frontier,
-                           const mpisim::ParsedEvent& ev,
+                           const mpisim::TraceEvent& ev,
                            std::string& candidates) {
     std::vector<Config> next;
     std::ostringstream cand;
@@ -97,7 +97,7 @@ class Monitor {
         if (e.from != cur.state) continue;
         switch (ev.kind) {
           case mpisim::TraceKind::kSend:
-          case mpisim::TraceKind::kFault:  // drop-send, pre-filtered
+          case mpisim::TraceKind::kDrop:  // replayed as the send it was
             if (e.op != Op::kSend) continue;
             break;
           case mpisim::TraceKind::kRecv:
@@ -142,7 +142,8 @@ class Monitor {
 };
 
 std::string describe(const mpisim::TraceEvent& e) {
-  return std::string(mpisim::to_string(e.kind)) + " " + e.detail;
+  return std::string(mpisim::to_string(e.kind)) + " " +
+         mpisim::format_detail(e);
 }
 
 ConformResult Monitor::run(const std::vector<mpisim::TraceEvent>& events) {
@@ -159,12 +160,10 @@ ConformResult Monitor::run(const std::vector<mpisim::TraceEvent>& events) {
 
   // The monitor's failure view is time-free: a rank counts as crashed for
   // lost-peer escapes if it crashes anywhere in the trace. Permissive, and
-  // sound for an NFA monitor.
+  // sound for an NFA monitor. A crash is recorded on the rank that died.
   for (const mpisim::TraceEvent& e : events) {
-    mpisim::ParsedEvent p;
-    if (e.kind == mpisim::TraceKind::kFault && parse_trace_event(e, p) &&
-        p.crashed_rank >= 0 && p.crashed_rank < n_)
-      crashed_[p.crashed_rank] = 1;
+    if (e.kind == mpisim::TraceKind::kCrash && e.rank < n_)
+      crashed_[e.rank] = 1;
   }
 
   for (int rank = 0; rank < n_ && res.ok; ++rank) {
@@ -180,29 +179,23 @@ ConformResult Monitor::run(const std::vector<mpisim::TraceEvent>& events) {
     std::size_t index = 0;  // per-rank observable event index
     for (const mpisim::TraceEvent& e : events) {
       if (e.rank != rank) continue;
-      mpisim::ParsedEvent ev;
-      const bool parsed = parse_trace_event(e, ev);
       bool observable = false;
       switch (e.kind) {
         case mpisim::TraceKind::kSend:
         case mpisim::TraceKind::kRecv:
-          observable = parsed && observable_tag(ev.tag);
+        // A dropped send still left the sender's send edge: replay it as
+        // the SEND it would have been.
+        case mpisim::TraceKind::kDrop:
+          observable = observable_tag(e.tag);
           break;
         case mpisim::TraceKind::kCollective:
-          observable = parsed;
+          observable = true;
           break;
-        case mpisim::TraceKind::kFault:
-          if (parsed && ev.crashed_rank == rank) {
-            crashed_here = true;  // terminal: the rank is gone
-            observable = false;
-          } else {
-            // A dropped send still left the sender's send edge: replay it
-            // as the SEND it would have been.
-            observable = parsed && ev.drop && observable_tag(ev.tag);
-          }
+        case mpisim::TraceKind::kCrash:
+          crashed_here = true;  // terminal: the rank is gone
           break;
         default:
-          break;  // phases, compute, io, marks, recovery notes
+          break;  // phases, marks, verifier reports, recovery notes
       }
       if (!observable) {
         ++res.events_skipped;
@@ -222,7 +215,7 @@ ConformResult Monitor::run(const std::vector<mpisim::TraceEvent>& events) {
         break;
       }
       std::string candidates;
-      std::vector<Config> next = step(role, rank, frontier, ev, candidates);
+      std::vector<Config> next = step(role, rank, frontier, e, candidates);
       if (next.empty()) {
         fail("spec " + std::string(spec_.name) + ": rank " +
              std::to_string(rank) + " [" + role.name + "] diverged at its " +

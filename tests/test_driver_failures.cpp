@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "blast/job.h"
+#include "driver/tags.h"
 #include "mpiblast/mpiblast.h"
 #include "mpisim/trace.h"
 #include "pioblast/pioblast.h"
@@ -118,7 +119,7 @@ TEST(DriverTracing, PioRunCapturesPhaseStructure) {
   for (int rank = 1; rank < nprocs; ++rank) {
     std::vector<std::string> phases;
     for (const auto& e : tracer.for_rank(rank))
-      if (e.kind == mpisim::TraceKind::kPhase) phases.push_back(e.detail);
+      if (e.kind == mpisim::TraceKind::kPhase) phases.push_back(e.text);
     ASSERT_GE(phases.size(), 4u) << "rank " << rank;
     EXPECT_EQ(phases[0], "other");
     EXPECT_EQ(phases[1], "input");
@@ -146,8 +147,7 @@ TEST(DriverTracing, MpiRunCapturesFetchTraffic) {
   // The master's serialized result fetching shows up as tag-3 sends.
   std::size_t fetch_requests = 0;
   for (const auto& e : tracer.for_rank(0)) {
-    if (e.kind == mpisim::TraceKind::kSend &&
-        e.detail.find("tag=3") != std::string::npos) {
+    if (e.kind == mpisim::TraceKind::kSend && e.tag == driver::kTagFetchReq) {
       ++fetch_requests;
     }
   }

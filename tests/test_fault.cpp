@@ -21,6 +21,7 @@
 #include "blast/job.h"
 #include "driver/metrics.h"
 #include "driver/scheduler.h"
+#include "driver/tags.h"
 #include "driver/work_queue.h"
 #include "mpiblast/mpiblast.h"
 #include "mpisim/fault.h"
@@ -194,10 +195,7 @@ TEST(MpisimFault, CrashAndRecoveryEventsAreTraced) {
       3, altix(), [](mpisim::Process& p) { p.barrier(); }, opts);
   bool saw_fault = false;
   for (const auto& e : tracer.sorted()) {
-    if (e.kind == mpisim::TraceKind::kFault &&
-        e.detail.find("crashed") != std::string::npos) {
-      saw_fault = true;
-    }
+    if (e.kind == mpisim::TraceKind::kCrash && e.rank == 1) saw_fault = true;
   }
   EXPECT_TRUE(saw_fault);
 }
@@ -553,7 +551,7 @@ TEST(ParioFault, CollectiveWriteFallsBackWhenParticipantIsLost) {
   bool saw_degrade = false;
   for (const auto& e : tracer.sorted()) {
     if (e.kind == mpisim::TraceKind::kRecovery &&
-        e.detail.find("independent writes") != std::string::npos) {
+        e.text.find("independent writes") != std::string::npos) {
       saw_degrade = true;
     }
   }
@@ -608,8 +606,7 @@ TEST(ParioFault, MultiRoundShuffleCrashStillLandsSurvivorData) {
         << "probe block " << b;
   }
   // collective_internal_tags()[0] is the shuffle tag.
-  const std::string shuffle_tag =
-      "tag=" + std::to_string(pario::collective_internal_tags()[0]);
+  const int shuffle_tag = pario::collective_internal_tags()[0];
   std::uint64_t events = 0, crash_at = 0;
   int shuffle_sends = 0;
   for (const auto& e : probe.for_rank(victim)) {
@@ -618,8 +615,7 @@ TEST(ParioFault, MultiRoundShuffleCrashStillLandsSurvivorData) {
       continue;
     }
     ++events;
-    if (e.kind == mpisim::TraceKind::kSend &&
-        e.detail.find(shuffle_tag) != std::string::npos) {
+    if (e.kind == mpisim::TraceKind::kSend && e.tag == shuffle_tag) {
       ++shuffle_sends;
       if (shuffle_sends == 2 && crash_at == 0) crash_at = events;
     }
@@ -663,8 +659,8 @@ TEST(ParioFault, MultiRoundShuffleCrashStillLandsSurvivorData) {
   // have degraded to independent writes — the round loop absorbed it.
   for (const auto& e : tracer.sorted()) {
     if (e.kind == mpisim::TraceKind::kRecovery) {
-      EXPECT_EQ(e.detail.find("independent writes"), std::string::npos)
-          << e.detail;
+      EXPECT_EQ(e.text.find("independent writes"), std::string::npos)
+          << e.text;
     }
   }
 }
@@ -753,9 +749,7 @@ std::uint64_t nth_work_request_event(const mpisim::Tracer& tracer, int rank,
       continue;
     }
     ++events;
-    // "tag=1 b" avoids matching tag=10/tag=11 range/select traffic.
-    if (e.kind == mpisim::TraceKind::kSend &&
-        e.detail.find("tag=1 b") != std::string::npos) {
+    if (e.kind == mpisim::TraceKind::kSend && e.tag == driver::kTagWorkReq) {
       if (++requests == nth) return events;
     }
   }
@@ -772,7 +766,7 @@ std::uint64_t first_output_phase_event(const mpisim::Tracer& tracer,
   bool in_output = false;
   for (const auto& e : tracer.for_rank(rank)) {
     if (e.kind == mpisim::TraceKind::kPhase) {
-      in_output = e.detail == "output";
+      in_output = e.text == "output";
       continue;
     }
     if (e.kind != mpisim::TraceKind::kSend &&

@@ -33,6 +33,7 @@
 #include "blast/fragment_index.h"
 #include "blast/query_set.h"
 #include "blast/seed.h"
+#include "driver/tags.h"
 #include "mpiblast/mpiblast.h"
 #include "pario/vfs.h"
 #include "pioblast/pioblast.h"
@@ -1046,8 +1047,7 @@ std::uint64_t nth_work_request_event(const mpisim::Tracer& tracer, int rank,
       continue;
     }
     ++events;
-    if (e.kind == mpisim::TraceKind::kSend &&
-        e.detail.find("tag=1 b") != std::string::npos) {
+    if (e.kind == mpisim::TraceKind::kSend && e.tag == driver::kTagWorkReq) {
       if (++requests == nth) return events;
     }
   }

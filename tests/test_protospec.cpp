@@ -159,51 +159,6 @@ TEST(ProtospecModel, DroppedFetchEndEdgeIsCaught) {
   EXPECT_FALSE(res.ok);
 }
 
-// ---------- trace parsing --------------------------------------------------
-
-TEST(TraceParse, SendRecvCollFault) {
-  mpisim::ParsedEvent ev;
-  mpisim::TraceEvent e;
-  e.rank = 1;
-  e.time = 2.5;
-
-  e.kind = mpisim::TraceKind::kSend;
-  e.detail = "dst=0 tag=1 bytes=0";
-  ASSERT_TRUE(mpisim::parse_trace_event(e, ev));
-  EXPECT_EQ(ev.peer, 0);
-  EXPECT_EQ(ev.tag, 1);
-  EXPECT_EQ(ev.bytes, 0u);
-
-  e.kind = mpisim::TraceKind::kRecv;
-  e.detail = "src=3 tag=4 bytes=128";
-  ASSERT_TRUE(mpisim::parse_trace_event(e, ev));
-  EXPECT_EQ(ev.peer, 3);
-  EXPECT_EQ(ev.tag, 4);
-  EXPECT_EQ(ev.bytes, 128u);
-
-  e.kind = mpisim::TraceKind::kCollective;
-  e.detail = "gather root=0 seq=7";
-  ASSERT_TRUE(mpisim::parse_trace_event(e, ev));
-  EXPECT_EQ(ev.op, "gather");
-  EXPECT_EQ(ev.root, 0);
-
-  e.kind = mpisim::TraceKind::kFault;
-  e.detail = "rank 2 crashed";
-  ASSERT_TRUE(mpisim::parse_trace_event(e, ev));
-  EXPECT_EQ(ev.crashed_rank, 2);
-  EXPECT_FALSE(ev.drop);
-
-  e.detail = "drop send #3 dst=0 tag=1 bytes=0";
-  ASSERT_TRUE(mpisim::parse_trace_event(e, ev));
-  EXPECT_TRUE(ev.drop);
-  EXPECT_EQ(ev.peer, 0);
-  EXPECT_EQ(ev.tag, 1);
-
-  e.kind = mpisim::TraceKind::kSend;
-  e.detail = "dst=zero tag=?";
-  EXPECT_FALSE(mpisim::parse_trace_event(e, ev));
-}
-
 // ---------- end-to-end conformance -----------------------------------------
 
 struct Tiny {

@@ -166,19 +166,24 @@ mpicheck::CheckOptions parse_check(const std::string& spec) {
 
 /// Runs one driver: once, or — given `check` (--check/--schedule) — under
 /// mpicheck, which sets the schedule and race hooks on `opts` for every
-/// explored schedule and prints the CHECK line. Returns nothing when
-/// exploration found a failing schedule.
+/// explored schedule and prints the CHECK line. The tracer, if any, is
+/// emptied before every run, so it ends up holding the returned run's
+/// events only. Returns nothing when exploration found a failing schedule.
 template <typename Options, typename Run>
 std::optional<blast::DriverResult> run_driver(
     const char* name, Options opts,
     const std::optional<mpicheck::CheckOptions>& check, Run&& run) {
-  if (!check) return run(opts);
+  auto run_once = [&] {
+    if (opts.tracer != nullptr) opts.tracer->clear();
+    return run(opts);
+  };
+  if (!check) return run_once();
   blast::DriverResult result;
   mpicheck::Checker checker(
       [&](mpisim::ScheduleHook* schedule, mpisim::RaceHook* race) {
         opts.schedule = schedule;
         opts.race = race;
-        result = run(opts);
+        result = run_once();
       },
       *check);
   const mpicheck::CheckResult res = checker.run();
@@ -206,6 +211,12 @@ void report(const char* name, const blast::DriverResult& r) {
               static_cast<unsigned long long>(
                   r.metrics.at("candidates_merged")));
   if (!r.conformance.empty()) std::printf("%s\n\n", r.conformance.c_str());
+}
+
+void print_timeline(const mpisim::Tracer& tracer) {
+  std::printf("--- event timeline (first 60 events of %zu) ---\n",
+              tracer.size());
+  tracer.render(std::cout, 60);
 }
 
 int run_cli(int argc, char** argv) {
@@ -252,7 +263,7 @@ int run_cli(int argc, char** argv) {
            "(e.g. \"cb_nodes=8,cb_buffer_size=1m,ds_read=enable\")")
       .add_flag("early-score-broadcast", "enable the §5 pruning extension")
       .add_flag("metrics", "print one machine-readable METRICS line per run")
-      .add_flag("trace", "print the head of the event timeline")
+      .add_flag("trace", "print the head of each driver's event timeline")
       .add_flag("conformance",
                 "replay the run's trace against the protospec protocol "
                 "machines (src/protospec) and fail on the first divergent "
@@ -410,6 +421,7 @@ int run_cli(int argc, char** argv) {
     if (!result) return 1;
     report("mpiBLAST", *result);
     if (args.get_flag("metrics")) print_metrics("mpiblast", *result);
+    if (run.tracer != nullptr) print_timeline(tracer);
     mpi_out = storage.shared().read_all("out.mpiblast.txt");
   }
   if (driver == "pioblast" || driver == "both") {
@@ -429,18 +441,13 @@ int run_cli(int argc, char** argv) {
     if (!result) return 1;
     report("pioBLAST", *result);
     if (args.get_flag("metrics")) print_metrics("pioblast", *result);
+    if (run.tracer != nullptr) print_timeline(tracer);
     pio_out = storage.shared().read_all("out.pioblast.txt");
   }
 
   if (driver == "both") {
     std::printf("outputs identical: %s\n", mpi_out == pio_out ? "yes" : "NO");
     if (mpi_out != pio_out) return 1;
-  }
-
-  if (run.tracer != nullptr) {
-    std::printf("--- event timeline (first 60 events of %zu) ---\n",
-                tracer.size());
-    tracer.render(std::cout, 60);
   }
 
   if (!args.get("output").empty()) {
