@@ -30,11 +30,11 @@ struct RunConfig {
   /// in DriverResult::conformance. Uses `tracer` when set, otherwise
   /// records an internal trace. The CLI's --conformance.
   bool conformance = false;
-  /// MPI-IO-style access hints (pario/env.h): cb_nodes / cb_buffer_size
-  /// tune the two-phase collectives; the ds_* / list knobs shape the
-  /// independent fragment-range reads. mpiBLAST reads whole files, one
-  /// contiguous request each, on which every hint is a no-op. The CLI's
-  /// --pario-hints flag.
+  /// MPI-IO-style access hints (pario/env.h), read by pioBLAST only:
+  /// cb_nodes / cb_buffer_size tune its two-phase collectives; the ds_* /
+  /// list knobs shape its independent fragment-range reads. mpiBLAST reads
+  /// each fragment as one whole-file list_read, on which every hint is a
+  /// no-op. The CLI's --pario-hints flag.
   pario::Hints hints{};
   /// Fault injections (crashes, stragglers, drops); inert by default. An
   /// active plan switches the run into its fault-tolerant paths: the

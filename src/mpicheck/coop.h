@@ -58,7 +58,8 @@ class CoopScheduler final : public mpisim::ScheduleHook {
   Schedule schedule() const;
 
   /// True when the loop found no runnable rank while some were still
-  /// blocked and fired its stuck handler (verifier-off deadlock path).
+  /// blocked and fired its stuck handler: every deadlock, verifier on or
+  /// off.
   bool went_stuck() const { return stuck_fired_; }
 
   // Canned choosers ---------------------------------------------------------

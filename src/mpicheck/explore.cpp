@@ -84,7 +84,6 @@ Checker::RunOutcome Checker::run_one(const CoopScheduler::Chooser& chooser,
   }
   out.records = sched.records();
   out.races = race.races_found();
-  out.stuck = sched.went_stuck();
   ++res.schedules_explored;
   res.races_found += out.races;
   res.max_decisions = std::max(res.max_decisions, out.records.size());

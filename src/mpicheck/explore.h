@@ -80,7 +80,6 @@ class Checker {
     std::string error;
     std::vector<DecisionRecord> records;
     std::uint64_t races = 0;
-    bool stuck = false;
   };
 
   RunOutcome run_one(const CoopScheduler::Chooser& chooser,

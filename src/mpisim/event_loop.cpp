@@ -188,7 +188,6 @@ void EventLoop::handle_stuck() {
     }
     report += ";";
   }
-  report += " (deadlock not claimed by the protocol verifier)";
   if (opts_.delegate != nullptr) opts_.delegate->stuck();
   // The handler poisons mailboxes, which calls back into wake() and
   // refills the ready set; the run loop then resumes the poisoned ranks

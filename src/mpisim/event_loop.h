@@ -51,9 +51,11 @@ inline constexpr std::size_t kFiberStackBytes = 256 * 1024;
 
 class EventLoop {
  public:
-  /// Wakes every blocked receive with the given report; called when the
-  /// loop finds no runnable rank while some are still blocked (a wedge the
-  /// protocol verifier did not claim first, e.g. with verification off).
+  /// Called once, when the loop finds no runnable rank, no offload in
+  /// flight, and some ranks still blocked: the run's one deadlock
+  /// detection point. Must wake every blocked receive (poison); the
+  /// argument is the loop's own "scheduler stuck" report, which the
+  /// runtime uses when the protocol verifier is off.
   using StuckHandler = std::function<void(const std::string&)>;
 
   struct Options {

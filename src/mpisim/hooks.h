@@ -77,8 +77,8 @@ class ScheduleHook {
                      const std::vector<YieldPoint>& ops) = 0;
 
   /// The loop found no runnable rank while some were still blocked and
-  /// fired its stuck handler (a wedge the protocol verifier did not claim,
-  /// e.g. with verification off).
+  /// fired its stuck handler. Every deadlock ends here, with the protocol
+  /// verifier on or off.
   virtual void stuck() = 0;
 };
 

@@ -8,7 +8,6 @@
 #include "mpisim/event_loop.h"
 #include "mpisim/fault.h"
 #include "mpisim/hooks.h"
-#include "mpisim/verifier.h"
 #include "util/error.h"
 
 namespace pioblast::mpisim {
@@ -71,6 +70,7 @@ Message Mailbox::pop_any(int src, std::span<const int> tags) {
   for (;;) {
     {
       std::unique_lock lock(mu_);
+      parked_.reset();
       const std::size_t idx = find_match(src, tags);
       if (idx != kNpos) return take_at(idx);
       if (poisoned_) {
@@ -83,22 +83,18 @@ Message Mailbox::pop_any(int src, std::span<const int> tags) {
                                      " failed: the rank crashed and the "
                                      "message can never arrive");
       }
+      if (loop_ == nullptr) {
+        throw util::RuntimeError(
+            "mpisim: blocking receive on a mailbox with no event loop bound "
+            "(nothing could ever deliver the message)");
+      }
+      parked_ = Wait{src, tags};
     }
-    if (loop_ == nullptr) {
-      throw util::RuntimeError(
-          "mpisim: blocking receive on a mailbox with no event loop bound "
-          "(nothing could ever deliver the message)");
-    }
-    // No match: this rank is now blocked. The verifier hooks run with the
-    // mailbox lock released — its deadlock scan holds the verifier lock
-    // while probing mailboxes, so calling it the other way around (mailbox
-    // lock held, then verifier lock) would invert the lock order. The rank
-    // keeps running from the match check above to block(), so no wakeup
-    // can be lost; block() returns once a push/poison/seal/death woke the
-    // rank and the loop resumed it, and the loop re-checks the predicate.
-    if (verifier_ != nullptr) verifier_->on_block(rank_, src, tags);
+    // No match: park. The rank keeps running from the match check above
+    // to block(), so no wakeup can be lost; block() returns once a
+    // push/poison/seal/death woke the rank and the loop resumed it, and
+    // the next pass re-checks the predicate.
     loop_->block(rank_);
-    if (verifier_ != nullptr) verifier_->on_unblock(rank_);
   }
 }
 
@@ -134,14 +130,9 @@ void Mailbox::poison(std::string reason, bool verify_failure) {
   if (loop_ != nullptr) loop_->wake(rank_);
 }
 
-void Mailbox::bind_verifier(ProtocolVerifier* verifier, int rank) {
-  verifier_ = verifier;
-  rank_ = rank;
-}
-
 void Mailbox::bind_loop(EventLoop* loop, int rank) {
   loop_ = loop;
-  rank_ = rank;  // also set here: bind_verifier is skipped when verify is off
+  rank_ = rank;
 }
 
 std::optional<Message> Mailbox::try_pop(int src, int tag) {
@@ -163,9 +154,9 @@ bool Mailbox::has_match(int src, int tag) const {
   return find_match(src, tags) != kNpos;
 }
 
-bool Mailbox::has_match_any(int src, std::span<const int> tags) const {
+std::optional<Mailbox::Wait> Mailbox::parked() const {
   std::lock_guard lock(mu_);
-  return find_match(src, tags) != kNpos;
+  return parked_;
 }
 
 std::vector<Mailbox::PendingInfo> Mailbox::pending_info() const {

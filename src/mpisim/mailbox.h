@@ -5,9 +5,9 @@
 // how the simulated ranks synchronize for real; virtual-time ordering is
 // layered on top by Process (receiver clocks max-merge with arrivals).
 //
-// When a ProtocolVerifier is bound (see verifier.h), every blocking pop
-// that finds no match registers the rank as blocked, which is the event
-// stream the verifier's deadlock detection runs on.
+// A parked pop records the (src, tags) it waits for (parked()). When the
+// event loop finds every unfinished rank blocked, the protocol verifier
+// reads those records once to name the deadlock (see verifier.h).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,6 @@
 namespace pioblast::mpisim {
 
 class EventLoop;
-class ProtocolVerifier;
 
 class Mailbox {
  public:
@@ -54,14 +53,19 @@ class Mailbox {
   std::size_t pending() const;
 
   /// True when a blocking pop(src, tag) would return without waiting.
-  /// Used by the verifier's deadlock scan to exonerate a rank whose
-  /// matching message arrived between its match check and its blocked
-  /// registration.
   bool has_match(int src, int tag) const;
 
-  /// Multi-tag variant of has_match (used for waits registered by
-  /// pop_any).
-  bool has_match_any(int src, std::span<const int> tags) const;
+  /// The receive the owning rank is parked on: its (src, tags). `tags`
+  /// points into the parked rank's suspended frame.
+  struct Wait {
+    int src = 0;
+    std::span<const int> tags;
+  };
+
+  /// The wait of a pop parked on the event loop, or nullopt while the
+  /// owning rank is not blocked in this mailbox. The verifier's deadlock
+  /// report reads it at the loop's stuck point.
+  std::optional<Wait> parked() const;
 
   /// Provenance of every still-queued message, for the verifier's
   /// end-of-job leak report. `seq` is the message's arrival ordinal in
@@ -84,10 +88,6 @@ class Mailbox {
   /// unblocked pops throw VerifyError so a verifier report survives the
   /// unwind as the job's error regardless of which rank records it first.
   void poison(std::string reason, bool verify_failure = false);
-
-  /// Binds the protocol verifier (not owned) and this mailbox's rank.
-  /// Must happen before any rank starts popping.
-  void bind_verifier(ProtocolVerifier* verifier, int rank);
 
   /// Binds the event loop (not owned): blocking pops park the owner's
   /// fiber on it, and every event that could unblock the owner (push,
@@ -122,7 +122,7 @@ class Mailbox {
   bool poisoned_ = false;
   bool verify_poison_ = false;
   std::string poison_reason_;
-  ProtocolVerifier* verifier_ = nullptr;
+  std::optional<Wait> parked_;  ///< see parked()
   EventLoop* loop_ = nullptr;
   int rank_ = -1;
 };

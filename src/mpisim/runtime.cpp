@@ -40,20 +40,13 @@ void rank_body(World& world, const std::function<void(Process&)>& rank_fn,
     rank_fn(proc);
   } catch (const RankCrash& c) {
     // An injected crash is a simulated event, not a job error: retire
-    // the rank (seals its mailbox, notifies rank 0 and the verifier)
-    // and let the survivors run on.
+    // the rank (seals its mailbox, notifies rank 0 and its peers) and
+    // let the survivors run on.
     crashed = true;
     world.crash_rank(rank, c.when);
   } catch (...) {
     if (!first_error) first_error = std::current_exception();
     world.abort();
-  }
-  // The rank is no longer live; the verifier may now find the remaining
-  // ranks deadlocked (it poisons them with the report — this path must
-  // not throw, as it runs outside the try block above). A crashed rank
-  // was already retired by crash_rank.
-  if (!crashed) {
-    if (ProtocolVerifier* v = world.verifier()) v->on_rank_done(rank);
   }
   rr.rank = rank;
   rr.phases = proc.phases();  // flushes the open phase
@@ -82,13 +75,16 @@ RunReport run(int nranks, const sim::ClusterConfig& cluster,
         opts.verify, opts.tracer,
         std::vector<int>(internal.begin(), internal.end())));
   }
-  // The stuck handler covers the verifier-off case: when the loop finds no
-  // runnable rank but blocked ones remain, it wakes them all with the
-  // report so the job unwinds instead of hanging.
+  // The one deadlock detector: when the loop finds no runnable rank but
+  // blocked ones remain, the verifier (if on) poisons every mailbox with
+  // its wait-for report; otherwise the loop's own report wakes them all,
+  // so the job unwinds instead of hanging.
   EventLoop loop(nranks, {opts.schedule, opts.race},
-                 [&world](const std::string& why) {
+                 [&world](const std::string& stuck) {
+                   ProtocolVerifier* v = world.verifier();
+                   if (v != nullptr && v->on_stuck()) return;
                    for (int r = 0; r < world.size(); ++r)
-                     world.mailbox(r).poison(why, /*verify_failure=*/true);
+                     world.mailbox(r).poison(stuck, /*verify_failure=*/true);
                  });
   world.set_loop(&loop);
 

@@ -1,6 +1,7 @@
 #include "mpisim/verifier.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "mpisim/fault.h"
@@ -18,9 +19,6 @@ ProtocolVerifier::ProtocolVerifier(VerifyOptions opts, Tracer* tracer,
 void ProtocolVerifier::attach(const std::vector<Mailbox*>& mailboxes) {
   std::lock_guard lock(mu_);
   mailboxes_ = mailboxes;
-  live_ranks_ = static_cast<int>(mailboxes.size());
-  waits_.assign(mailboxes.size(), {});
-  done_.assign(mailboxes.size(), false);
   crashed_.assign(mailboxes.size(), false);
   collective_seq_.assign(mailboxes.size(), 0);
 }
@@ -74,30 +72,33 @@ void ProtocolVerifier::on_recv_posted(int rank, int src, int tag) {
   fail_locked(os.str());
 }
 
-std::string ProtocolVerifier::render_cycle_locked() const {
+namespace {
+
+/// Each rank's parked wait (nullopt: finished, crashed, or not blocked).
+using Waits = std::vector<std::optional<Mailbox::Wait>>;
+
+/// Renders the wait-for cycle (or the blocked chain when an any-source
+/// wait makes the cycle non-unique).
+std::string render_cycle(const Waits& waits) {
   // Follow specific-source wait edges from the lowest blocked rank; a
   // revisited rank closes the cycle. Any-source waits have no unique
   // outgoing edge, so a walk reaching one just reports the chain so far.
-  const int n = static_cast<int>(waits_.size());
-  int start = -1;
-  for (int r = 0; r < n; ++r) {
-    if (waits_[static_cast<std::size_t>(r)].blocked) {
-      start = r;
-      break;
-    }
-  }
-  if (start < 0) return "";
+  const int n = static_cast<int>(waits.size());
+  const auto blocked = [&](int r) {
+    return r >= 0 && r < n && waits[static_cast<std::size_t>(r)].has_value();
+  };
+  int start = 0;
+  while (start < n && !blocked(start)) ++start;
   std::vector<int> path;
   std::vector<bool> seen(static_cast<std::size_t>(n), false);
   int cur = start;
-  while (cur >= 0 && cur < n && waits_[static_cast<std::size_t>(cur)].blocked &&
-         !seen[static_cast<std::size_t>(cur)]) {
+  while (blocked(cur) && !seen[static_cast<std::size_t>(cur)]) {
     seen[static_cast<std::size_t>(cur)] = true;
     path.push_back(cur);
-    cur = waits_[static_cast<std::size_t>(cur)].src;  // kAnySource ends walk
+    cur = waits[static_cast<std::size_t>(cur)]->src;  // kAnySource ends walk
   }
   std::ostringstream os;
-  if (cur >= 0 && cur < n && seen[static_cast<std::size_t>(cur)]) {
+  if (blocked(cur)) {
     os << "  wait-for cycle: ";
     // Trim the lead-in so the rendered path starts at the cycle entry.
     const auto entry = std::find(path.begin(), path.end(), cur);
@@ -113,43 +114,37 @@ std::string ProtocolVerifier::render_cycle_locked() const {
   return os.str();
 }
 
-std::string ProtocolVerifier::deadlock_report_locked() const {
-  if (live_ranks_ <= 0) return "";
+}  // namespace
+
+bool ProtocolVerifier::on_stuck() {
+  std::lock_guard lock(mu_);
+  if (disabled_) return false;
+  // The loop is stuck: every unfinished rank is parked, and whatever
+  // could wake one (push, poison, peer death) would already have.
+  Waits waits;
+  waits.reserve(mailboxes_.size());
   int blocked = 0;
-  for (std::size_t r = 0; r < waits_.size(); ++r) {
-    if (done_[r]) continue;
-    if (!waits_[r].blocked) return "";  // somebody is still running
-    ++blocked;
-  }
-  if (blocked == 0) return "";
-  // Every live rank is registered blocked; exonerate any rank whose wait
-  // became deliverable between its match check and its registration, and
-  // any rank waiting specifically on a crashed peer (it will wake with
-  // PeerLostError, not hang).
-  for (std::size_t r = 0; r < waits_.size(); ++r) {
-    if (done_[r]) continue;
-    const Wait& w = waits_[r];
-    if (w.src >= 0 && w.src < static_cast<int>(crashed_.size()) &&
-        crashed_[static_cast<std::size_t>(w.src)])
-      return "";
-    if (mailboxes_[r]->has_match_any(w.src, w.tags)) return "";
+  for (const Mailbox* mb : mailboxes_) {
+    waits.push_back(mb->parked());
+    if (waits.back()) ++blocked;
   }
   std::ostringstream os;
   os << "protocol verifier: deadlock: all " << blocked
      << " live ranks blocked in recv with no deliverable message\n";
-  for (std::size_t r = 0; r < waits_.size(); ++r) {
-    if (done_[r]) continue;
+  for (std::size_t r = 0; r < waits.size(); ++r) {
+    if (!waits[r]) continue;
+    const Mailbox::Wait& w = *waits[r];
     os << "  rank " << r << " waiting for "
-       << (waits_[r].src == kAnySource
-               ? std::string("any source")
-               : "src=" + std::to_string(waits_[r].src))
+       << (w.src == kAnySource ? std::string("any source")
+                               : "src=" + std::to_string(w.src))
        << " tag=";
-    for (std::size_t t = 0; t < waits_[r].tags.size(); ++t)
-      os << (t != 0 ? "/" : "") << tag_label(waits_[r].tags[t]);
+    for (std::size_t t = 0; t < w.tags.size(); ++t)
+      os << (t != 0 ? "/" : "") << tag_label(w.tags[t]);
     os << "\n";
   }
-  os << render_cycle_locked();
-  return os.str();
+  os << render_cycle(waits);
+  flag_locked(os.str());
+  return true;
 }
 
 void ProtocolVerifier::flag_locked(const std::string& report) {
@@ -164,50 +159,9 @@ void ProtocolVerifier::fail_locked(const std::string& report) {
   throw VerifyError(report);
 }
 
-void ProtocolVerifier::on_block(int rank, int src, int tag) {
-  const int tags[] = {tag};
-  on_block(rank, src, std::span<const int>(tags));
-}
-
-void ProtocolVerifier::on_block(int rank, int src, std::span<const int> tags) {
-  std::lock_guard lock(mu_);
-  if (disabled_) return;
-  auto& w = waits_[static_cast<std::size_t>(rank)];
-  w.blocked = true;
-  w.src = src;
-  w.tags.assign(tags.begin(), tags.end());
-  const std::string report = deadlock_report_locked();
-  if (!report.empty()) fail_locked(report);
-}
-
-void ProtocolVerifier::on_unblock(int rank) {
-  std::lock_guard lock(mu_);
-  waits_[static_cast<std::size_t>(rank)].blocked = false;
-}
-
-void ProtocolVerifier::on_rank_done(int rank) {
-  std::lock_guard lock(mu_);
-  if (disabled_) return;
-  done_[static_cast<std::size_t>(rank)] = true;
-  --live_ranks_;
-  const std::string report = deadlock_report_locked();
-  // A finished rank's thread is outside the runtime's try block, so this
-  // path must not throw; poisoning wakes the stuck ranks with the report.
-  if (!report.empty()) flag_locked(report);
-}
-
 void ProtocolVerifier::on_rank_crashed(int rank) {
   std::lock_guard lock(mu_);
-  if (disabled_) return;
-  if (crashed_[static_cast<std::size_t>(rank)]) return;
   crashed_[static_cast<std::size_t>(rank)] = true;
-  done_[static_cast<std::size_t>(rank)] = true;
-  --live_ranks_;
-  // World::crash_rank queued the failure-detector notice before calling
-  // us, so a master blocked on any-source already has a deliverable
-  // message and cannot be falsely declared deadlocked here.
-  const std::string report = deadlock_report_locked();
-  if (!report.empty()) flag_locked(report);  // crashing thread: never throw
 }
 
 void ProtocolVerifier::on_abort() {

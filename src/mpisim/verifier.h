@@ -3,12 +3,13 @@
 //
 // Four checks, all free of false positives on a correct program:
 //
-//   1. Deadlock detection — every blocking Mailbox::pop with no match
-//      registers the rank in a wait-for table; whenever the last live rank
-//      blocks (or a rank finishes while the rest are blocked), the
-//      verifier scans all blocked ranks' mailboxes and, if no registered
-//      wait is deliverable, poisons the job with a readable wait-for-cycle
-//      report instead of letting ctest hang.
+//   1. Deadlock detection — runs once, at the event loop's stuck point:
+//      no rank is runnable, no offload is in flight, and every unfinished
+//      rank is parked in a blocking Mailbox::pop. Push, poison, peer death
+//      and seal all wake a parked rank, so every such wait is hopeless.
+//      on_stuck() reads each parked mailbox's (src, tags) and poisons the
+//      job with a readable wait-for-cycle report instead of letting ctest
+//      hang.
 //   2. Collective-order checking — every collective entry records an
 //      (op, root) fingerprint at the rank's next sequence number; the
 //      first rank to reach sequence #n defines the expectation and any
@@ -26,13 +27,13 @@
 //
 // Failures poison every mailbox with the report (so all ranks unwind with
 // it), record a kVerify trace event, and throw VerifyError in the
-// detecting rank. The verifier is created by the runtime when
-// RunOptions::verify.enabled is set (the default).
+// detecting rank (a deadlock has none: every parked rank wakes with it).
+// The verifier is created by the runtime when RunOptions::verify.enabled
+// is set (the default).
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,21 +54,22 @@ class ProtocolVerifier {
   ProtocolVerifier(const ProtocolVerifier&) = delete;
   ProtocolVerifier& operator=(const ProtocolVerifier&) = delete;
 
-  /// Binds the job's mailboxes (one per rank, not owned) and sets the
-  /// live-rank count. Called by World before any rank runs.
+  /// Binds the job's mailboxes (one per rank, not owned). Called by World
+  /// before any rank runs.
   void attach(const std::vector<Mailbox*>& mailboxes);
 
   // ---- lifecycle (called by the runtime) ---------------------------------
 
-  /// A rank's function returned; the rank no longer counts as live. May
-  /// flag a deadlock among the remaining ranks (never throws: poisons).
-  void on_rank_done(int rank);
-
-  /// A rank crashed under fault injection: it is retired, not deadlocked.
-  /// Ranks later found blocked waiting specifically on a crashed rank are
-  /// exonerated by the deadlock scan — they will wake with PeerLostError,
-  /// not hang. Never throws (called from the crashing rank's unwind).
+  /// A rank crashed under fault injection: its sealed mailbox is left out
+  /// of the leak check. Never throws (called from the crashing rank's
+  /// unwind).
   void on_rank_crashed(int rank);
+
+  /// The event loop found no runnable rank while some are parked: builds
+  /// the deadlock report from every parked mailbox's wait and poisons the
+  /// job with it (never throws). Returns false, reporting nothing, when
+  /// checks are disabled; the caller then unwinds the wedge itself.
+  bool on_stuck();
 
   /// The job is being aborted for an unrelated error: disable all checks
   /// so the unwinding ranks cannot trigger cascading reports.
@@ -82,18 +84,6 @@ class ProtocolVerifier {
   /// Audits the tag of a posted receive (catches a typo'd recv tag with a
   /// precise report before deadlock detection has to).
   void on_recv_posted(int rank, int src, int tag);
-
-  /// Registers `rank` as blocked waiting for (src, tag); runs the
-  /// deadlock scan. Throws VerifyError when this block completes a
-  /// deadlock. Called without the mailbox lock held.
-  void on_block(int rank, int src, int tag);
-
-  /// Multi-tag variant for waits registered by Mailbox::pop_any: the rank
-  /// is blocked until a message with any of `tags` arrives from `src`.
-  void on_block(int rank, int src, std::span<const int> tags);
-
-  /// Clears the blocked registration after the wait returns.
-  void on_unblock(int rank);
 
   // ---- collectives -------------------------------------------------------
 
@@ -118,31 +108,18 @@ class ProtocolVerifier {
   std::string tag_label(int tag) const;
 
  private:
-  struct Wait {
-    bool blocked = false;
-    int src = 0;
-    std::vector<int> tags;  ///< acceptable tags (usually one)
-  };
   struct CollectiveRecord {
     std::string op;
     int root = 0;
     int first_rank = 0;
   };
 
-  /// Scans for a deadlock among the currently blocked ranks. Returns the
-  /// report ("" when progress is still possible). Caller holds mu_.
-  std::string deadlock_report_locked() const;
-
-  /// Renders the wait-for cycle (or the blocked set when any-source waits
-  /// make the cycle non-unique). Caller holds mu_.
-  std::string render_cycle_locked() const;
-
   /// Poisons every mailbox with `report`, records a kVerify trace event,
   /// and throws VerifyError. Caller holds mu_.
   [[noreturn]] void fail_locked(const std::string& report);
 
-  /// Same, but poisons without throwing (for contexts that must not
-  /// throw, e.g. a finished rank's thread). Caller holds mu_.
+  /// Same, but poisons without throwing (for the stuck handler, which
+  /// runs on the loop, outside every rank). Caller holds mu_.
   void flag_locked(const std::string& report);
 
   bool tag_registered(int tag) const;
@@ -153,10 +130,7 @@ class ProtocolVerifier {
 
   mutable std::mutex mu_;
   bool disabled_ = false;
-  int live_ranks_ = 0;
   std::vector<Mailbox*> mailboxes_;
-  std::vector<Wait> waits_;
-  std::vector<bool> done_;
   std::vector<bool> crashed_;
   std::vector<std::uint64_t> collective_seq_;
   std::vector<CollectiveRecord> collective_log_;

@@ -62,16 +62,14 @@ class World {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   Tracer* tracer() const { return tracer_; }
 
-  /// Installs the protocol verifier (owned) and binds every mailbox to
-  /// it. Must be called before any rank runs.
+  /// Installs the protocol verifier (owned) and hands it every mailbox.
+  /// Must be called before any rank runs.
   void install_verifier(std::unique_ptr<ProtocolVerifier> verifier) {
     verifier_ = std::move(verifier);
     std::vector<Mailbox*> boxes;
     boxes.reserve(mailboxes_.size());
     for (auto& mb : mailboxes_) boxes.push_back(mb.get());
     verifier_->attach(boxes);
-    for (int r = 0; r < size_; ++r)
-      mailboxes_[static_cast<std::size_t>(r)]->bind_verifier(verifier_.get(), r);
   }
 
   /// The installed verifier, or null when verification is off.
@@ -121,16 +119,15 @@ class World {
   /// Retires a crashed rank: seals its mailbox, pushes the
   /// failure-detector notice (tag kTagFaultNotice, arrival = `when` +
   /// detection delay) to rank 0, wakes every receiver blocked on the dead
-  /// rank, and tells the verifier the rank is retired — not deadlocked.
+  /// rank, and tells the verifier to leave the sealed mailbox out of its
+  /// leak check. Every wake lands before the loop can next look for a
+  /// deadlock, so no survivor is ever reported stuck on the dead rank.
   /// Called by the runtime from the crashing rank's own fiber; safe to
   /// call at most once per rank (later calls are no-ops).
   void crash_rank(int rank, sim::Time when) {
     if (dead_[static_cast<std::size_t>(rank)]) return;
     dead_[static_cast<std::size_t>(rank)] = true;
     mailbox(rank).seal();
-    // The notice must be queued before the verifier learns of the crash:
-    // its deadlock scan then sees the master's any-source wait as
-    // deliverable instead of declaring the surviving ranks stuck.
     if (rank != 0) {
       Message notice;
       notice.src = rank;

@@ -421,13 +421,13 @@ TEST(Explorer, SummaryIsOneStableLine) {
             "result=verify trace=2,2");
 }
 
-// ---------- verifier exoneration under forced schedules --------------------
+// ---------- crash notices racing a wait under forced schedules -------------
 
-/// A worker crash racing the master's any-source wait: the failure
-/// detector's notice may land between the master's match check and its
-/// block registration under adversarial schedules. The verifier's
-/// has_match exoneration must keep every interleaving free of false
-/// deadlock reports.
+/// A worker crash racing the master's any-source wait: under adversarial
+/// schedules the failure detector's notice may land before the master
+/// parks or while it is parked. Either way the master finds it or is
+/// woken by its push, so the loop never reaches its stuck point and no
+/// interleaving may report a deadlock.
 void crash_during_wait_job(mpisim::Process& p) {
   constexpr int kTagData = 11;
   static constexpr int kWait[] = {kTagData, mpisim::kTagFaultNotice};

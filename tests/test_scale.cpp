@@ -9,11 +9,13 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "driver/scheduler.h"
 #include "driver/work_queue.h"
 #include "mpisim/runtime.h"
+#include "mpisim/verify.h"
 
 namespace pioblast {
 namespace {
@@ -85,6 +87,40 @@ TEST(Scale, FourThousandRankBarrierTree) {
       mpisim::run(nranks, altix(), [](mpisim::Process& p) { p.barrier(); });
   EXPECT_EQ(report.ranks.size(), static_cast<std::size_t>(nranks));
   EXPECT_GT(report.makespan(), 0.0);
+}
+
+/// Runs a 4096-rank receive ring — every rank waits on its successor and
+/// nobody sends — and returns the VerifyError the deadlock unwinds with.
+std::string ring_deadlock_report(bool verify) {
+  constexpr int kRanks = 4096;
+  mpisim::RunOptions opts;
+  opts.verify.enabled = verify;
+  try {
+    mpisim::run(
+        kRanks, altix(),
+        [](mpisim::Process& p) { p.recv((p.rank() + 1) % kRanks, 5); },
+        opts);
+  } catch (const mpisim::VerifyError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "the ring completed without a VerifyError";
+  return {};
+}
+
+TEST(Scale, FourThousandRankDeadlockNamedByVerifier) {
+  const std::string report = ring_deadlock_report(/*verify=*/true);
+  EXPECT_NE(report.find("all 4096 live ranks blocked"), std::string::npos)
+      << report.substr(0, 200);
+  EXPECT_NE(report.find("wait-for cycle: 0 -> 1 -> 2 -> "), std::string::npos)
+      << report.substr(0, 200);
+}
+
+TEST(Scale, FourThousandRankDeadlockUnwoundWithVerifierOff) {
+  const std::string report = ring_deadlock_report(/*verify=*/false);
+  EXPECT_NE(report.find("scheduler stuck"), std::string::npos)
+      << report.substr(0, 200);
+  EXPECT_EQ(report.find("not claimed"), std::string::npos)
+      << report.substr(0, 200);
 }
 
 }  // namespace

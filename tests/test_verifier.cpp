@@ -103,9 +103,33 @@ TEST(VerifierDeadlock, AnySourceWaitAfterPeersExitReported) {
   EXPECT_NE(report.find("any source"), std::string::npos) << report;
 }
 
+TEST(VerifierDeadlock, CrashedRankLeftOutOfSurvivorCycle) {
+  // Rank 3 crashes at its first send; ranks 0-2 wait on each other in a
+  // ring. The report names only the three live ranks.
+  RunOptions opts;
+  opts.faults.at(3).crash_at = 1;
+  const std::string report = verify_failure(
+      4,
+      [](Process& p) {
+        if (p.rank() == 3) {
+          p.send(0, 5, std::vector<std::uint8_t>(4));
+          return;
+        }
+        p.recv((p.rank() + 1) % 3, 5);
+      },
+      opts);
+  EXPECT_NE(report.find("all 3 live ranks blocked"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("wait-for cycle: 0 -> 1 -> 2 -> 0"),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("rank 3"), std::string::npos) << report;
+}
+
 TEST(VerifierDeadlock, DeliverableMessageIsNotADeadlock) {
-  // The register-vs-arrival race: rank 1 may register as blocked just as
-  // rank 0's message lands. The scan must exonerate it via has_match.
+  // Whichever rank runs first, rank 1 either finds the message or parks
+  // until rank 0's push wakes it: a parked rank with a deliverable message
+  // is runnable, so the loop never reaches its stuck point here.
   EXPECT_NO_THROW(run(2, test_cluster(), [](Process& p) {
     if (p.rank() == 0) p.send(1, 7, std::vector<std::uint8_t>(8));
     if (p.rank() == 1) p.recv(0, 7);

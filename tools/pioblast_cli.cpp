@@ -260,7 +260,9 @@ int run_cli(int argc, char** argv) {
            "cb_nodes=N, cb_buffer_size=SIZE (0 = unbounded), ds_read="
            "auto|enable|disable, ds_buffer_size=SIZE, ds_density=FRACTION, "
            "list=on|off; sizes accept k/m/g suffixes "
-           "(e.g. \"cb_nodes=8,cb_buffer_size=1m,ds_read=enable\")")
+           "(e.g. \"cb_nodes=8,cb_buffer_size=1m,ds_read=enable\"). "
+           "pioBLAST only: mpiBLAST reads each fragment as one whole-file "
+           "request, on which every hint is a no-op")
       .add_flag("early-score-broadcast", "enable the §5 pruning extension")
       .add_flag("metrics", "print one machine-readable METRICS line per run")
       .add_flag("trace", "print the head of each driver's event timeline")
@@ -361,6 +363,14 @@ int run_cli(int argc, char** argv) {
     throw UsageError("fragments", args.get("fragments"),
                      "more than the database's " + std::to_string(db.size()) +
                          " sequences");
+  if (nfragments_flag == 0 &&
+      static_cast<std::uint64_t>(nprocs - 1) > db.size())
+    throw UsageError("procs", args.get("procs"),
+                     "with --fragments=0 each of the " +
+                         std::to_string(nprocs - 1) +
+                         " workers needs its own fragment, but the database "
+                         "has only " +
+                         std::to_string(db.size()) + " sequences");
   const bool query_file = !args.get("queries-fasta").empty();
   const std::string query_flag = query_file ? "queries-fasta" : "query-bytes";
   const std::string query_fasta =
